@@ -31,13 +31,11 @@
 //	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default, -1 disables the cache)
 //	  "mdcache_neg_ttl_ms": 250,           // metadata cache negative TTL (0 = default)
 //	  "mdcache_max_entries": 4096,         // metadata cache LRU bound (0 = default)
-//	  "disable_streaming": false,          // member sub-queries materialize instead of paging cursors
 //	  "disable_semijoin": false,           // semi-joins filter at the coordinator only (no key pushdown)
 //	  "semijoin_key_limit": 64,            // largest key set pushed as IN lists; larger sets go Bloom (0 = default 64)
 //	  "semijoin_bloom_bits": 10,           // Bloom prefilter bits per build-side key (0 = default 10)
-//	  "cursor_max_open": 32,               // server-side cursor cap per servant (0 = default 32)
+//	  "cursor_max_open": 32,               // server-side cursor cap per servant (0 = default 32; past it, opens return whole results)
 //	  "cursor_idle_ms": 120000,            // idle cursor reap TTL (0 = default 2 minutes)
-//	  "disable_gossip": false,             // turn off the anti-entropy membership agent
 //	  "gossip_interval_ms": 1000,          // gossip round pacing (0 = default 1s)
 //	  "gossip_fanout": 3,                  // peers contacted per gossip round (0 = default 3)
 //	  "subcoalition_size": 32,             // coalition size before discovery routes via representatives (0 = default 32, -1 = flat only)
@@ -118,27 +116,23 @@ type nodeFile struct {
 	DisableSemiJoin   bool `json:"disable_semijoin"`
 	SemiJoinKeyLimit  int  `json:"semijoin_key_limit"`
 	SemiJoinBloomBits int  `json:"semijoin_bloom_bits"`
-	// Streaming-reply knobs. DisableStreaming makes member sub-queries
-	// materialize whole results in one round trip instead of paging through
-	// server-side cursors; CursorMaxOpen caps cursors held open per servant
-	// (0 = default 32); CursorIdleMS is the idle-reap TTL (0 = default 2
+	// Streaming-reply knobs. CursorMaxOpen caps cursors held open per
+	// servant (0 = default 32; an open past the cap returns the whole result
+	// and keeps nothing); CursorIdleMS is the idle-reap TTL (0 = default 2
 	// minutes); FragmentThresholdBytes is the GIOP message size past which
 	// replies fragment on the wire (0 = default 256 KiB, -1 disables
 	// fragmentation). Cursor counters are published at /debug/metrics under
 	// "cursors".
-	DisableStreaming bool `json:"disable_streaming"`
-	CursorMaxOpen    int  `json:"cursor_max_open"`
-	CursorIdleMS     int  `json:"cursor_idle_ms"`
-	// Gossip membership and hierarchical-discovery knobs. DisableGossip
-	// turns the anti-entropy agent off (the node then answers gossip callers
-	// with BAD_OPERATION, like a pre-gossip peer); GossipIntervalMS paces
-	// rounds (0 = default 1000); GossipFanout is the peers contacted per
-	// round (0 = default 3); SubCoalitionSize is the coalition size above
-	// which stage-3 discovery routes through sub-coalition representatives
-	// (0 = default 32, -1 keeps flat fan-out for every size). Agent counters
-	// — rounds, deltas sent/applied, digest/delta bytes, convergence lag —
-	// are published at /debug/metrics under "gossip".
-	DisableGossip          bool                `json:"disable_gossip"`
+	CursorMaxOpen int `json:"cursor_max_open"`
+	CursorIdleMS  int `json:"cursor_idle_ms"`
+	// Gossip membership and hierarchical-discovery knobs. GossipIntervalMS
+	// paces the anti-entropy agent's rounds (0 = default 1000); GossipFanout
+	// is the peers contacted per round (0 = default 3); SubCoalitionSize is
+	// the coalition size above which stage-3 discovery routes through
+	// sub-coalition representatives (0 = default 32, -1 keeps flat fan-out
+	// for every size). Agent counters — rounds, deltas sent/applied,
+	// digest/delta bytes, convergence lag — are published at /debug/metrics
+	// under "gossip".
 	GossipIntervalMS       int                 `json:"gossip_interval_ms"`
 	GossipFanout           int                 `json:"gossip_fanout"`
 	SubCoalitionSize       int                 `json:"subcoalition_size"`
@@ -256,13 +250,11 @@ func main() {
 		MDCacheMaxEntries: cfg.MDCacheMaxEntries,
 		DisablePushdown:   cfg.DisablePushdown,
 		MergeBufRows:      cfg.MergeBufRows,
-		DisableStreaming:  cfg.DisableStreaming,
 		DisableSemiJoin:   cfg.DisableSemiJoin,
 		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
 		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
 		CursorMaxOpen:     cfg.CursorMaxOpen,
 		CursorIdleTTL:     time.Duration(cfg.CursorIdleMS) * time.Millisecond,
-		DisableGossip:     cfg.DisableGossip,
 		GossipInterval:    time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
 		GossipFanout:      cfg.GossipFanout,
 		SubCoalitionSize:  cfg.SubCoalitionSize,
@@ -270,13 +262,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if node.Gossip != nil {
-		tracer.Publish("gossip", func() any { return node.Gossip.Stats() })
-		ctx, stopGossip := context.WithCancel(context.Background())
-		defer stopGossip()
-		go node.StartGossip(ctx)
-		log.Print("gossip agent active")
-	}
+	tracer.Publish("gossip", func() any { return node.Gossip.Stats() })
+	ctx, stopGossip := context.WithCancel(context.Background())
+	defer stopGossip()
+	go node.StartGossip(ctx)
+	log.Print("gossip agent active")
 	if node.MDCache != nil {
 		tracer.Publish("mdcache", func() any { return node.MDCache.Snapshot() })
 	}

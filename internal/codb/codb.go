@@ -90,7 +90,7 @@ func (cd *CoDatabase) Owner() string { return cd.owner }
 func (cd *CoDatabase) DB() *oodb.DB { return cd.db }
 
 // Version returns the monotonic schema version. It starts at 0 for a fresh
-// (or restored) co-database and increases on every successful mutation of
+// co-database, at the snapshot's version for a restored one, and increases on every successful mutation of
 // coalitions, members or links.
 func (cd *CoDatabase) Version() uint64 { return cd.version.Load() }
 
@@ -579,11 +579,12 @@ type codbSnapshot struct {
 	Owner     string            `json:"owner"`
 	OwnerDesc *SourceDescriptor `json:"owner_descriptor,omitempty"`
 	DB        json.RawMessage   `json:"db"`
+	Version   uint64            `json:"version"`
 }
 
 // Snapshot serialises the co-database (schema, coalition lattice, members,
-// links, owner descriptor) to JSON, so a node can persist its metadata
-// across restarts.
+// links, owner descriptor) and its schema version to JSON, so a node can
+// persist its metadata across restarts without its version going backwards.
 func (cd *CoDatabase) Snapshot() ([]byte, error) {
 	dbData, err := cd.db.Snapshot()
 	if err != nil {
@@ -593,6 +594,7 @@ func (cd *CoDatabase) Snapshot() ([]byte, error) {
 		Owner:     cd.owner,
 		OwnerDesc: cd.ownerDesc,
 		DB:        dbData,
+		Version:   cd.Version(),
 	}, "", "  ")
 }
 
@@ -609,5 +611,7 @@ func Restore(data []byte) (*CoDatabase, error) {
 	if _, ok := db.Class(ClassInformationType); !ok {
 		return nil, fmt.Errorf("codb: restore: snapshot is not a co-database")
 	}
-	return &CoDatabase{owner: snap.Owner, db: db, ownerDesc: snap.OwnerDesc}, nil
+	cd := &CoDatabase{owner: snap.Owner, db: db, ownerDesc: snap.OwnerDesc}
+	cd.version.Store(snap.Version)
+	return cd, nil
 }

@@ -437,9 +437,22 @@ func TestSnapshotRestore(t *testing.T) {
 	if od := got.OwnerDescriptor(); od == nil || od.Engine != "Oracle" {
 		t.Errorf("owner descriptor = %+v", od)
 	}
+	// The schema version survives, so peers holding it accept the restored
+	// node's next update.
+	if cd.Version() == 0 || got.Version() != cd.Version() {
+		t.Errorf("restored version = %d, snapshot taken at %d", got.Version(), cd.Version())
+	}
+	// Peers read the same version over the wire.
+	c, _ := startCoDBPair(t, got, ServantOptions{})
+	if v, err := c.Version(context.Background()); err != nil || v != cd.Version() {
+		t.Errorf("remote version of the restored co-database = %d, %v; want %d", v, err, cd.Version())
+	}
 	// Restored co-database is fully usable: add more state.
 	if err := got.DefineCoalition("New Topic", "", "post-restore"); err != nil {
 		t.Fatal(err)
+	}
+	if got.Version() != cd.Version()+1 {
+		t.Errorf("version after a post-restore mutation = %d", got.Version())
 	}
 	// Garbage is rejected.
 	if _, err := Restore([]byte("{\"db\": \"nope\"}")); err == nil {

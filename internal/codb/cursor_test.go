@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/idl"
 	"repro/internal/orb"
 )
 
@@ -34,6 +33,14 @@ func newWideCoDB(t *testing.T, n int) *CoDatabase {
 
 func startCoDBPair(t *testing.T, cd *CoDatabase, opts ServantOptions) (*Client, interface{ OpenCount() int }) {
 	t.Helper()
+	c, table, _, _ := startCoDBPairORBs(t, cd, opts)
+	return c, table
+}
+
+// startCoDBPairORBs is startCoDBPair that also returns the server and client
+// ORBs, so tests can count dispatched requests and IIOP calls.
+func startCoDBPairORBs(t *testing.T, cd *CoDatabase, opts ServantOptions) (*Client, interface{ OpenCount() int }, *orb.ORB, *orb.ORB) {
+	t.Helper()
 	server := orb.New(orb.Options{Product: orb.Orbix, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -46,7 +53,7 @@ func startCoDBPair(t *testing.T, cd *CoDatabase, opts ServantOptions) (*Client, 
 	}
 	clientORB := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
 	t.Cleanup(clientORB.Shutdown)
-	return NewClient(clientORB.Resolve(ior)), table
+	return NewClient(clientORB.Resolve(ior)), table, server, clientORB
 }
 
 func TestInstancesPagedBatches(t *testing.T) {
@@ -124,7 +131,7 @@ func TestInstancesDelegatesThroughCursor(t *testing.T) {
 }
 
 func TestInstancesPagedCapFallsBack(t *testing.T) {
-	c, table := startCoDBPair(t, newWideCoDB(t, 6), ServantOptions{CursorMaxOpen: 1})
+	c, table, server, client := startCoDBPairORBs(t, newWideCoDB(t, 6), ServantOptions{CursorMaxOpen: 1})
 	ctx := context.Background()
 
 	held, err := c.InstancesPaged(ctx, "Medical", 1)
@@ -133,12 +140,21 @@ func TestInstancesPagedCapFallsBack(t *testing.T) {
 	}
 	defer held.Close()
 
-	// The next open hits the cap; the client falls back to the whole listing.
+	// The next open hits the cap; the server answers with the whole listing
+	// in the open reply. Each listing the servant dispatches runs the
+	// co-database's member scan once.
+	calls, served := client.Stats.IIOPCalls.Load(), server.Stats.RequestsServed.Load()
 	it, err := c.InstancesPaged(ctx, "Medical", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
+	if d := client.Stats.IIOPCalls.Load() - calls; d != 1 {
+		t.Fatalf("open past the cap cost %d IIOP calls, want 1", d)
+	}
+	if d := server.Stats.RequestsServed.Load() - served; d != 1 {
+		t.Fatalf("open past the cap ran %d member listings, want 1", d)
+	}
 	var n int
 	for {
 		if _, err := it.Next(ctx); err == io.EOF {
@@ -153,59 +169,6 @@ func TestInstancesPagedCapFallsBack(t *testing.T) {
 	}
 	if table.OpenCount() != 1 {
 		t.Fatalf("fallback opened a cursor: %d", table.OpenCount())
-	}
-}
-
-// TestInstancesPagedLegacyPeerFallsBack points InstancesPaged at a servant
-// that predates open_instances. BAD_OPERATION must route the client to the
-// whole-listing op transparently.
-func TestInstancesPagedLegacyPeerFallsBack(t *testing.T) {
-	server := orb.New(orb.Options{Product: orb.Orbix, DisableColocation: true})
-	if err := server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(server.Shutdown)
-
-	cd := newWideCoDB(t, 4)
-	legacyIDL := idl.MustParse(`
-module WebFINDIT {
-    interface LegacyCoDatabase {
-        sequence<any> instances(in string coalition);
-    };
-};
-`)[0]
-	h := orb.NewHandler(legacyIDL)
-	h.On("instances", func(args []idl.Any) (idl.Any, error) {
-		members, err := cd.Members(args[0].Str)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "CoDatabaseError", Message: err.Error()}
-		}
-		out := make([]idl.Any, len(members))
-		for i, m := range members {
-			out[i] = m.ToAny()
-		}
-		return idl.Seq(out...), nil
-	})
-	ior, err := server.Activate("CoDatabase/legacy", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientORB := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
-	t.Cleanup(clientORB.Shutdown)
-	c := NewClient(clientORB.Resolve(ior))
-
-	insts, err := c.Instances(context.Background(), "Medical")
-	if err != nil || len(insts) != 4 {
-		t.Fatalf("legacy fallback = %v, %v", insts, err)
-	}
-	it, err := c.InstancesPaged(context.Background(), "Medical", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	d, err := it.Next(context.Background())
-	if err != nil || d.Name != "Hospital-00" {
-		t.Fatalf("legacy paged next = %v, %v", d, err)
 	}
 }
 

@@ -103,7 +103,7 @@ func TestGossipOpsOverIIOP(t *testing.T) {
 
 // TestGossipOpsErrorsAndCompat pins the failure contract: a servant whose
 // exchanger errors surfaces the failure to the client, and a servant built
-// without gossip or relay hooks — a pre-gossip node — answers BAD_OPERATION,
+// without gossip or relay hooks answers BAD_OPERATION,
 // which callers treat like a dead candidate.
 func TestGossipOpsErrorsAndCompat(t *testing.T) {
 	ctx := context.Background()

@@ -2,10 +2,8 @@ package codb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/cursor"
@@ -26,7 +24,6 @@ module WebFINDIT {
         sequence<any> coalitions();
         sequence<any> member_of();
         sequence<any> subclasses(in string coalition, in boolean direct);
-        sequence<any> instances(in string coalition);
         any open_instances(in string coalition, in long long batch);
         any fetch_cursor(in long long id);
         void close_cursor(in long long id);
@@ -68,7 +65,7 @@ func MatchFromAny(a idl.Any) Match {
 // ServantOptions tune the servant's instance-cursor table and optional
 // scale-out hooks; the zero value selects the cursor package defaults and
 // leaves the gossip and relay operations unregistered (callers then get
-// BAD_OPERATION, the documented "peer predates the protocol" signal).
+// BAD_OPERATION).
 type ServantOptions struct {
 	CursorMaxOpen int              // open-cursor cap for paged instance listings
 	CursorIdleTTL time.Duration    // idle reap threshold
@@ -153,17 +150,6 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 		}
 		return idl.Strings(subs), nil
 	})
-	on("instances", func(args []idl.Any) (idl.Any, error) {
-		members, err := cd.Members(args[0].Str)
-		if err != nil {
-			return idl.Null(), userErr(err)
-		}
-		out := make([]idl.Any, len(members))
-		for i, m := range members {
-			out[i] = m.ToAny()
-		}
-		return idl.Seq(out...), nil
-	})
 	on("open_instances", func(args []idl.Any) (idl.Any, error) {
 		members, err := cd.Members(args[0].Str)
 		if err != nil {
@@ -173,12 +159,7 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 		for i, m := range members {
 			items[i] = m.ToAny()
 		}
-		id, first, done, err := cursors.Open(items, int(args[1].Int))
-		if err != nil {
-			// ErrTooMany crosses as a CursorError; clients fall back to the
-			// whole-result instances op.
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
-		}
+		id, first, done := cursors.Open(items, int(args[1].Int))
 		return idl.Struct(
 			idl.F("id", idl.Long(id)),
 			idl.F("items", idl.Seq(first...)),
@@ -269,8 +250,8 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 		return idl.Any{Kind: idl.KindVoid}, nil
 	})
 	// The gossip and relay operations are declared in the IDL but registered
-	// only when the node runs the corresponding machinery, so a node with
-	// gossip disabled answers exactly like a pre-gossip peer: BAD_OPERATION.
+	// only when the options supply the corresponding machinery; a bare
+	// servant answers them with BAD_OPERATION.
 	if opts.Gossip != nil {
 		on("gossip_pull", func(args []idl.Any) (idl.Any, error) {
 			delta, digest, err := opts.Gossip.HandlePull([]byte(args[0].Str))
@@ -424,54 +405,15 @@ func (c *Client) Instances(ctx context.Context, coalition string) ([]*SourceDesc
 	}
 }
 
-// instancesWhole is the pre-cursor whole-listing op, kept as the fallback for
-// peers that predate open_instances.
-func (c *Client) instancesWhole(ctx context.Context, coalition string) ([]*SourceDescriptor, error) {
-	v, err := c.ref.InvokeIdempotent(ctx, "instances", idl.String(coalition))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*SourceDescriptor, 0, len(v.Seq))
-	for _, item := range v.Seq {
-		d, err := DescriptorFromAny(item)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// instanceCursorFallback reports an error that means "use the whole-listing
-// op instead": the peer predates open_instances (BAD_OPERATION) or refuses
-// to open another cursor (the table's cap).
-func instanceCursorFallback(err error) bool {
-	var se *orb.SystemException
-	if errors.As(err, &se) && se.Name == orb.ExcBadOperation {
-		return true
-	}
-	var ue *orb.UserException
-	return errors.As(err, &ue) && ue.Name == "CursorError" &&
-		strings.Contains(ue.Message, "too many open cursors")
-}
-
 // InstancesPaged lists a coalition's member descriptors through the cursor
 // protocol, moving at most batch descriptors per round trip (batch <= 0
 // fetches everything in the open round trip). The caller must Close the
-// iterator. Peers that predate the protocol — and servers at their cursor
-// cap — are handled by falling back to the whole-listing op behind a
-// materialized iterator.
+// iterator. A server at its cursor cap answers the open with the whole
+// listing and done set, in the same one round trip.
 func (c *Client) InstancesPaged(ctx context.Context, coalition string, batch int) (*InstanceIter, error) {
 	a, err := c.ref.InvokeIdempotent(ctx, "open_instances",
 		idl.String(coalition), idl.Long(int64(batch)))
 	if err != nil {
-		if instanceCursorFallback(err) {
-			whole, werr := c.instancesWhole(ctx, coalition)
-			if werr != nil {
-				return nil, werr
-			}
-			return &InstanceIter{whole: whole, done: true}, nil
-		}
 		return nil, err
 	}
 	items, _ := a.Get("items")
@@ -494,9 +436,6 @@ type InstanceIter struct {
 	pos    int
 	done   bool
 	closed bool
-
-	// whole backs the fallback path for peers without the cursor protocol.
-	whole []*SourceDescriptor
 }
 
 // Next returns the next descriptor or io.EOF. The context bounds one fetch
@@ -504,14 +443,6 @@ type InstanceIter struct {
 func (it *InstanceIter) Next(ctx context.Context) (*SourceDescriptor, error) {
 	if it.closed {
 		return nil, fmt.Errorf("codb: instance iterator is closed")
-	}
-	if it.whole != nil || (it.done && it.client == nil) {
-		if it.pos >= len(it.whole) {
-			return nil, io.EOF
-		}
-		d := it.whole[it.pos]
-		it.pos++
-		return d, nil
 	}
 	for it.pos >= len(it.buf) {
 		if it.done {
@@ -538,7 +469,7 @@ func (it *InstanceIter) Close() error {
 		return nil
 	}
 	it.closed = true
-	if it.done || it.id == 0 || it.client == nil {
+	if it.done || it.id == 0 {
 		return nil // exhausted cursors are already gone server-side
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), closeInstancesTimeout)

@@ -90,10 +90,6 @@ type NodeConfig struct {
 	// cursor batch size member sub-queries fetch with (see
 	// query.Config.MergeBufRows); 0 keeps the default (64).
 	MergeBufRows int
-	// DisableStreaming starts the node's query processor with the member
-	// cursor protocol off (see query.Config.DisableStreaming): member
-	// sub-queries materialize whole results in one round trip.
-	DisableStreaming bool
 	// DisableSemiJoin starts the node's query processor with semi-join key
 	// pushdown off (see query.Config.DisableSemiJoin): join statements run,
 	// but every probe row crosses the wire and the coordinator filters.
@@ -106,19 +102,13 @@ type NodeConfig struct {
 	SemiJoinBloomBits int
 	// CursorMaxOpen caps the server-side cursors the node's ISI and
 	// co-database servants will hold open at once; 0 keeps the default (32).
-	// Clients past the cap fall back to whole-result round trips.
+	// An open past the cap returns the whole result and keeps nothing.
 	CursorMaxOpen int
 	// CursorIdleTTL is how long an untouched server-side cursor survives
 	// before the reaper collects it; 0 keeps the default (2 minutes).
 	// Cursor tables share the node Clock when one is injected.
 	CursorIdleTTL time.Duration
 
-	// DisableGossip turns off the node's anti-entropy membership agent and
-	// leaves the gossip servant operations unregistered, so the node answers
-	// gossip callers exactly like a pre-gossip peer (BAD_OPERATION). The
-	// agent itself is passive until StartGossip runs (production) or a test
-	// drives Tick directly, so merely having it costs nothing.
-	DisableGossip bool
 	// GossipInterval paces the background gossip loop started by
 	// StartGossip; 0 keeps the default (1s).
 	GossipInterval time.Duration
@@ -149,7 +139,9 @@ type Node struct {
 	CoDBIOR    *orb.IOR
 	Processor  *query.Processor
 	MDCache    *mdcache.Cache // nil when NodeConfig.DisableMDCache is set
-	Gossip     *gossip.Agent  // nil when NodeConfig.DisableGossip is set
+	// Gossip is the node's anti-entropy membership agent. It is passive
+	// until StartGossip runs (production) or a test drives Tick directly.
+	Gossip *gossip.Agent
 
 	isiConn gateway.Conn
 	// Cursor tables behind the node's servants (ISI data cursors, co-database
@@ -227,36 +219,34 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// serve gossip_pull/gossip_push from the first exchange. Its hooks read
 	// n.Descriptor and n.Processor through closures evaluated at call time —
 	// both are set below, before any traffic can reach the node.
-	if !cfg.DisableGossip {
-		n.Gossip = gossip.New(gossip.Config{
-			Self:  n.gossipSelf,
-			Seeds: n.gossipSeeds,
-			Exchange: func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
-				objRef, err := cfg.ORB.ResolveString(ref)
-				if err != nil {
-					return nil, nil, err
-				}
-				return codb.NewClient(objRef).GossipPull(ctx, digest)
-			},
-			Push: func(ctx context.Context, ref string, delta []byte) error {
-				objRef, err := cfg.ORB.ResolveString(ref)
-				if err != nil {
-					return err
-				}
-				_, err = codb.NewClient(objRef).GossipPush(ctx, delta)
+	n.Gossip = gossip.New(gossip.Config{
+		Self:  n.gossipSelf,
+		Seeds: n.gossipSeeds,
+		Exchange: func(ctx context.Context, ref string, digest []byte) ([]byte, []byte, error) {
+			objRef, err := cfg.ORB.ResolveString(ref)
+			if err != nil {
+				return nil, nil, err
+			}
+			return codb.NewClient(objRef).GossipPull(ctx, digest)
+		},
+		Push: func(ctx context.Context, ref string, delta []byte) error {
+			objRef, err := cfg.ORB.ResolveString(ref)
+			if err != nil {
 				return err
-			},
-			OnApply: func(applied []gossip.Entry) {
-				if n.Processor != nil {
-					n.Processor.GossipApplied(applied)
-				}
-			},
-			Fanout:       cfg.GossipFanout,
-			Interval:     cfg.GossipInterval,
-			Seed:         cfg.GossipSeed,
-			SuspectAfter: cfg.GossipSuspectAfter,
-		})
-	}
+			}
+			_, err = codb.NewClient(objRef).GossipPush(ctx, delta)
+			return err
+		},
+		OnApply: func(applied []gossip.Entry) {
+			if n.Processor != nil {
+				n.Processor.GossipApplied(applied)
+			}
+		},
+		Fanout:       cfg.GossipFanout,
+		Interval:     cfg.GossipInterval,
+		Seed:         cfg.GossipSeed,
+		SuspectAfter: cfg.GossipSuspectAfter,
+	})
 
 	// Activate the servants.
 	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{
@@ -270,25 +260,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.ISIIOR = isiIOR
-	codbOpts := codb.ServantOptions{
+	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codb.ServantOptions{
 		CursorMaxOpen: cfg.CursorMaxOpen,
 		CursorIdleTTL: cfg.CursorIdleTTL,
 		Clock:         cfg.Clock,
-		// relay_probe is served whenever the processor exists (hierarchical
-		// routing works without gossip; election just sees everyone alive).
-		// A call landing in the startup window before n.Processor is set gets
-		// an empty reply, which coordinators treat as a failed relay.
+		Gossip:        n.Gossip,
+		// A relay_probe landing in the startup window before n.Processor is
+		// set gets an empty reply, which coordinators treat as a failed relay.
 		Relay: func(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
 			if n.Processor == nil {
 				return nil
 			}
 			return n.Processor.RelayProbe(ctx, topic, members)
 		},
-	}
-	if n.Gossip != nil {
-		codbOpts.Gossip = n.Gossip
-	}
-	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codbOpts)
+	})
 	n.codbCursors = codbCursors
 	codbIOR, err := cfg.ORB.Activate(codbKey(cfg.Name), codbServant)
 	if err != nil {
@@ -329,10 +314,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			Clock:      cfg.Clock,
 		})
 	}
-	var alive func(string) bool
-	if n.Gossip != nil {
-		alive = n.Gossip.Store().Alive
-	}
 	n.Processor, err = query.New(query.Config{
 		ORB:               cfg.ORB,
 		Home:              cfg.Name,
@@ -342,12 +323,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Cache:             n.MDCache,
 		DisablePushdown:   cfg.DisablePushdown,
 		MergeBufRows:      cfg.MergeBufRows,
-		DisableStreaming:  cfg.DisableStreaming,
 		DisableSemiJoin:   cfg.DisableSemiJoin,
 		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
 		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
 		SubCoalitionSize:  cfg.SubCoalitionSize,
-		Alive:             alive,
+		Alive:             n.Gossip.Store().Alive,
 	})
 	if err != nil {
 		return nil, err
@@ -396,13 +376,8 @@ func (n *Node) gossipSeeds() []gossip.Entry {
 }
 
 // StartGossip runs the node's anti-entropy loop until ctx ends. It blocks;
-// production nodes run it on a goroutine. A node without an agent returns
-// immediately.
-func (n *Node) StartGossip(ctx context.Context) {
-	if n.Gossip != nil {
-		n.Gossip.Start(ctx)
-	}
-}
+// production nodes run it on a goroutine.
+func (n *Node) StartGossip(ctx context.Context) { n.Gossip.Start(ctx) }
 
 // Close deactivates the node's servants.
 func (n *Node) Close() error {

@@ -6,12 +6,15 @@
 // previous one, so a slow consumer throttles the server instead of
 // ballooning it.
 //
-// A Table is the per-servant cursor registry. It caps how many cursors one
-// connection may hold open (a client that leaks cursors starves itself, not
-// the node) and reaps cursors idle past a TTL (a client that vanished
-// mid-stream eventually costs nothing). Reaping is lazy — checked on every
-// open and fetch — so the table needs no background goroutine and works
-// under simulated clocks.
+// Cursors are the only way member rows and member listings cross the wire.
+//
+// A Table is the per-servant cursor registry. It caps how many cursors it
+// holds open: past the cap, an open returns the whole result in its reply
+// and keeps nothing, so server state never exceeds the cap and the caller
+// still gets its answer in one round trip. It also reaps cursors idle past
+// a TTL (a client that vanished mid-stream eventually costs nothing).
+// Reaping is lazy — checked on every open and fetch — so the table needs no
+// background goroutine and works under simulated clocks.
 package cursor
 
 import (
@@ -29,11 +32,6 @@ const (
 	DefaultMaxOpen = 32
 	DefaultIdleTTL = 2 * time.Minute
 )
-
-// ErrTooMany reports an open attempt past the table's cap. It crosses the
-// wire as a user exception whose message keeps this text, so clients can
-// fall back to a whole-result query.
-var ErrTooMany = errors.New("cursor: too many open cursors")
 
 // ErrNotFound reports a fetch or close of an unknown (possibly reaped)
 // cursor ID.
@@ -99,26 +97,24 @@ func NewTable(maxOpen int, idleTTL time.Duration, now func() time.Time) *Table {
 // Open registers a cursor over items and returns its ID along with the first
 // batch. When the first batch exhausts items, done is true, no cursor is
 // retained, and id is 0: small results cost exactly one round trip and no
-// server state. batch <= 0 selects the whole result in one batch.
-func (t *Table) Open(items []idl.Any, batch int) (id int64, first []idl.Any, done bool, err error) {
-	if batch <= 0 || batch > len(items) {
-		batch = len(items)
-	}
+// server state. batch <= 0 selects the whole result in one batch, and so
+// does an open with the table at its cap.
+func (t *Table) Open(items []idl.Any, batch int) (id int64, first []idl.Any, done bool) {
 	t.stats.Fetches.Add(1)
-	if batch == len(items) {
-		return 0, items, true, nil
+	if batch <= 0 || batch >= len(items) {
+		return 0, items, true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.reapLocked()
 	if len(t.cursors) >= t.maxOpen {
-		return 0, nil, false, fmt.Errorf("%w (cap %d)", ErrTooMany, t.maxOpen)
+		return 0, items, true
 	}
 	t.nextID++
 	id = t.nextID
 	t.cursors[id] = &state{items: items, pos: batch, batch: batch, touched: t.now()}
 	t.stats.Opened.Add(1)
-	return id, items[:batch], false, nil
+	return id, items[:batch], false
 }
 
 // Fetch returns the cursor's next batch. done reports the cursor is

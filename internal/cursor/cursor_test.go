@@ -19,15 +19,15 @@ func items(n int) []idl.Any {
 
 func TestOpenSmallResultRetainsNothing(t *testing.T) {
 	tb := NewTable(4, time.Minute, nil)
-	id, first, done, err := tb.Open(items(3), 10)
-	if err != nil || !done || id != 0 {
-		t.Fatalf("open = id %d, done %v, err %v", id, done, err)
+	id, first, done := tb.Open(items(3), 10)
+	if !done || id != 0 {
+		t.Fatalf("open = id %d, done %v", id, done)
 	}
 	if len(first) != 3 || tb.OpenCount() != 0 {
 		t.Fatalf("first batch %d rows, %d cursors retained", len(first), tb.OpenCount())
 	}
 	// batch <= 0 means everything at once.
-	_, first, done, _ = tb.Open(items(5), 0)
+	_, first, done = tb.Open(items(5), 0)
 	if !done || len(first) != 5 {
 		t.Fatalf("batch 0: done %v, %d rows", done, len(first))
 	}
@@ -35,9 +35,9 @@ func TestOpenSmallResultRetainsNothing(t *testing.T) {
 
 func TestOpenFetchClose(t *testing.T) {
 	tb := NewTable(4, time.Minute, nil)
-	id, first, done, err := tb.Open(items(7), 3)
-	if err != nil || done || id == 0 {
-		t.Fatalf("open = id %d, done %v, err %v", id, done, err)
+	id, first, done := tb.Open(items(7), 3)
+	if done || id == 0 {
+		t.Fatalf("open = id %d, done %v", id, done)
 	}
 	if len(first) != 3 || first[0].Str != "row-000" {
 		t.Fatalf("first batch = %v", first)
@@ -66,10 +66,7 @@ func TestOpenFetchClose(t *testing.T) {
 
 func TestCloseAbandonsEarly(t *testing.T) {
 	tb := NewTable(4, time.Minute, nil)
-	id, _, _, err := tb.Open(items(10), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id, _, _ := tb.Open(items(10), 2)
 	tb.Close(id)
 	if tb.OpenCount() != 0 {
 		t.Fatal("close left the cursor open")
@@ -82,26 +79,30 @@ func TestCloseAbandonsEarly(t *testing.T) {
 func TestOpenCap(t *testing.T) {
 	tb := NewTable(2, time.Minute, nil)
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := tb.Open(items(10), 2); err != nil {
-			t.Fatal(err)
+		if id, _, done := tb.Open(items(10), 2); id == 0 || done {
+			t.Fatalf("open %d under the cap: id %d, done %v", i, id, done)
 		}
 	}
-	_, _, _, err := tb.Open(items(10), 2)
-	if !errors.Is(err, ErrTooMany) {
-		t.Fatalf("open past cap: %v", err)
+	// Past the cap the open answers with the whole result and keeps nothing.
+	id, first, done := tb.Open(items(10), 2)
+	if id != 0 || !done || len(first) != 10 || first[9].Str != "row-009" {
+		t.Fatalf("open past cap = id %d, done %v, %d rows", id, done, len(first))
+	}
+	if n := tb.OpenCount(); n != 2 {
+		t.Fatalf("open past cap changed the open count to %d", n)
 	}
 	// A small result (no cursor retained) still succeeds at the cap.
-	if _, _, done, err := tb.Open(items(1), 2); err != nil || !done {
-		t.Fatalf("small open at cap: done %v, err %v", done, err)
+	if _, _, done := tb.Open(items(1), 2); !done {
+		t.Fatalf("small open at cap: done %v", done)
 	}
 }
 
 func TestIdleReaping(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	tb := NewTable(8, time.Minute, func() time.Time { return clock })
-	stale, _, _, _ := tb.Open(items(10), 2)
+	stale, _, _ := tb.Open(items(10), 2)
 	clock = clock.Add(30 * time.Second)
-	fresh, _, _, _ := tb.Open(items(10), 2)
+	fresh, _, _ := tb.Open(items(10), 2)
 	clock = clock.Add(45 * time.Second) // stale now 75s idle, fresh 45s
 
 	if _, _, err := tb.Fetch(fresh); err != nil {

@@ -4,14 +4,15 @@ import (
 	"context"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/idl"
 	"repro/internal/orb"
 )
 
 // startISIPair activates an ISI servant for the RBH Oracle database and
-// returns a remote connection to it plus the servant's cursor table.
+// returns a remote connection to it plus a handle on the servant's cursor
+// table, the client ORB and the engine's query count.
 func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTableHandle) {
 	t.Helper()
 	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
@@ -28,7 +29,8 @@ func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTab
 	if err != nil {
 		t.Fatal(err)
 	}
-	servant, table := NewISIServantWith(local, opts)
+	counted := &countingConn{Conn: local}
+	servant, table := NewISIServantWith(counted, opts)
 	ior, err := server.Activate("ISI/RBH", servant)
 	if err != nil {
 		t.Fatal(err)
@@ -36,10 +38,25 @@ func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTab
 
 	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
 	t.Cleanup(client.Shutdown)
-	return NewRemoteConn(client.Resolve(ior)), &cursorTableHandle{table}
+	return NewRemoteConn(client.Resolve(ior)), &cursorTableHandle{table, client, &counted.queries}
 }
 
-type cursorTableHandle struct{ table interface{ OpenCount() int } }
+type cursorTableHandle struct {
+	table   interface{ OpenCount() int }
+	client  *orb.ORB
+	queries *atomic.Int64 // engine executions behind the servant
+}
+
+// countingConn counts the queries the engine behind a servant runs.
+type countingConn struct {
+	Conn
+	queries atomic.Int64
+}
+
+func (c *countingConn) Query(ctx context.Context, q string) (*Result, error) {
+	c.queries.Add(1)
+	return c.Conn.Query(ctx, q)
+}
 
 func TestRemoteQueryCursorBatches(t *testing.T) {
 	rconn, tb := startISIPair(t, ISIServantOptions{})
@@ -140,11 +157,18 @@ func TestRemoteCursorCapFallsBack(t *testing.T) {
 		t.Fatalf("open cursors = %d", tb.table.OpenCount())
 	}
 
-	// The next open hits the cap; the client falls back to the whole-result
-	// op and the caller still gets every row.
+	// The next open hits the cap; the server answers with the whole result
+	// in the open reply and the caller still gets every row.
+	calls, queries := tb.client.Stats.IIOPCalls.Load(), tb.queries.Load()
 	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := tb.client.Stats.IIOPCalls.Load() - calls; d != 1 {
+		t.Fatalf("open past the cap cost %d IIOP calls, want 1", d)
+	}
+	if d := tb.queries.Load() - queries; d != 1 {
+		t.Fatalf("open past the cap ran the query %d times, want 1", d)
 	}
 	res, err := Drain(ctx, it)
 	if err != nil || len(res.Rows) != 3 {
@@ -155,58 +179,49 @@ func TestRemoteCursorCapFallsBack(t *testing.T) {
 	}
 }
 
-// TestRemoteCursorLegacyPeerFallsBack points QueryCursor at a servant that
-// predates the cursor protocol (query/exec only). The BAD_OPERATION reply
-// must route the client to the whole-result op transparently.
-func TestRemoteCursorLegacyPeerFallsBack(t *testing.T) {
-	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
-	if err := server.Listen("127.0.0.1:0"); err != nil {
+// TestLocalQueryCursorMatchesQuery covers the in-process drivers' cursors:
+// with no wire to stream over, QueryCursor iterates the materialized result,
+// so a drain must equal Query and engine errors must surface at open.
+func TestLocalQueryCursorMatchesQuery(t *testing.T) {
+	rel := NewRelationalDriver("Oracle")
+	if err := rel.Add(newOracleDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(server.Shutdown)
-
-	legacyIDL := idl.MustParse(`
-module WebFINDIT {
-    interface LegacyISI {
-        any query(in string q);
-    };
-};
-`)[0]
-	drv := NewRelationalDriver("Oracle")
-	if err := drv.Add(newOracleDB(t)); err != nil {
-		t.Fatal(err)
-	}
-	local, err := drv.Open("RBH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := orb.NewHandler(legacyIDL)
-	h.On("query", func(args []idl.Any) (idl.Any, error) {
-		res, err := local.Query(context.Background(), args[0].Str)
+	oo := NewObjectDriver("ObjectStore")
+	oo.Add(newCoDB(t))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		drv  Driver
+		name string
+		q    string
+	}{
+		{rel, "RBH", "SELECT name FROM medical_students ORDER BY name"},
+		{oo, "codb-RBH", "SELECT Name, Field FROM Research WHERE Field = 'oncology'"},
+	} {
+		conn, err := tc.drv.Open(tc.name)
 		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
+			t.Fatal(err)
 		}
-		return res.ToAny(), nil
-	})
-	ior, err := server.Activate("ISI/legacy", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	client := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
-	t.Cleanup(client.Shutdown)
-	rconn := NewRemoteConn(client.Resolve(ior))
-
-	res, err := rconn.Query(context.Background(), "SELECT COUNT(*) FROM medical_students")
-	if err != nil || res.Rows[0][0].Int != 3 {
-		t.Fatalf("legacy fallback query = %+v, %v", res, err)
-	}
-	it, err := rconn.QueryCursor(context.Background(), "SELECT name FROM medical_students", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Drain(context.Background(), it)
-	if err != nil || len(out.Rows) != 3 {
-		t.Fatalf("legacy fallback cursor = %+v, %v", out, err)
+		want, err := conn.Query(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := conn.QueryCursor(ctx, tc.q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Drain(ctx, it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Format() != want.Format() {
+			t.Fatalf("%s: cursor drain differs from Query:\n%s\nwant:\n%s", tc.name, got.Format(), want.Format())
+		}
+		if _, err := it.Next(ctx); err != io.EOF {
+			t.Fatalf("%s: Next after drain = %v, want io.EOF", tc.name, err)
+		}
+		if _, err := conn.QueryCursor(ctx, "SELECT * FROM no_such_table", 1); err == nil {
+			t.Fatalf("%s: cursor over a missing table opened", tc.name)
+		}
 	}
 }

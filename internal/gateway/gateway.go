@@ -158,8 +158,7 @@ func Drain(ctx context.Context, it RowIter) (*Result, error) {
 	}
 }
 
-// sliceIter adapts a materialized Result to RowIter (in-process engines, and
-// the fallback when a remote peer predates the cursor protocol).
+// sliceIter adapts a materialized Result to RowIter (in-process engines).
 type sliceIter struct {
 	res *Result
 	pos int
@@ -209,20 +208,6 @@ type Conn interface {
 	// Tables lists the queryable containers (tables or classes).
 	Tables() []string
 	Close() error
-}
-
-// QueryContext runs a query on a connection.
-//
-// Deprecated: Conn.Query is context-first now; call c.Query(ctx, q) directly.
-func QueryContext(ctx context.Context, c Conn, q string) (*Result, error) {
-	return c.Query(ctx, q)
-}
-
-// ExecContext runs a statement on a connection.
-//
-// Deprecated: Conn.Exec is context-first now; call c.Exec(ctx, q) directly.
-func ExecContext(ctx context.Context, c Conn, q string) (*Result, error) {
-	return c.Exec(ctx, q)
 }
 
 // Driver creates connections for one DSN scheme.

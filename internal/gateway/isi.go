@@ -2,10 +2,8 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,7 +21,6 @@ import (
 var ISIIDL = idl.MustParse(`
 module WebFINDIT {
     interface ISI {
-        any query(in string q);
         any exec(in string q);
         any meta();
         sequence<any> tables();
@@ -44,8 +41,8 @@ type ISIServantOptions struct {
 
 // NewISIServant wraps a connection in an ISI servant with default cursor
 // options. Invocations are serialised with a mutex because gateway
-// connections, like JDBC connections, are single-threaded. query and exec
-// open a per-driver timing span ("isi.query:<engine>"), so the time a
+// connections, like JDBC connections, are single-threaded. open_cursor and
+// exec open a per-driver timing span ("isi.cursor:<engine>"), so the time a
 // source's engine spends on each statement is visible in the trace of the
 // query that reached it.
 func NewISIServant(conn Conn) orb.Servant {
@@ -60,18 +57,6 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 	meta := conn.Meta()
 	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
 	h := orb.NewHandler(ISIIDL)
-	h.OnCtx("query", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		ctx, sp := trace.StartSpan(ctx, "isi.query:"+meta.Engine)
-		sp.SetAttr("database", meta.Database)
-		res, err := conn.Query(ctx, args[0].Str)
-		sp.End(err)
-		if err != nil {
-			return idl.Null(), &orb.UserException{Name: "QueryError", Message: err.Error()}
-		}
-		return res.ToAny(), nil
-	})
 	h.OnCtx("open_cursor", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -86,12 +71,7 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		for i, row := range res.Rows {
 			items[i] = idl.Seq(row...)
 		}
-		id, first, done, err := cursors.Open(items, int(args[1].Int))
-		if err != nil {
-			// ErrTooMany crosses as a CursorError; clients fall back to the
-			// whole-result query op.
-			return idl.Null(), &orb.UserException{Name: "CursorError", Message: err.Error()}
-		}
+		id, first, done := cursors.Open(items, int(args[1].Int))
 		return idl.Struct(
 			idl.F("id", idl.Long(id)),
 			idl.F("columns", idl.Strings(res.Columns)),
@@ -182,48 +162,18 @@ func (c *RemoteConn) Query(ctx context.Context, q string) (*Result, error) {
 	return Drain(ctx, it)
 }
 
-// queryWhole is the pre-cursor whole-result query op, kept as the fallback
-// for peers that predate the cursor protocol.
-func (c *RemoteConn) queryWhole(ctx context.Context, q string) (*Result, error) {
-	a, err := c.ref.InvokeIdempotent(ctx, "query", idl.String(q))
-	if err != nil {
-		return nil, remapISIError(err)
-	}
-	return ResultFromAny(a)
-}
-
-// cursorFallback reports an error that means "use the whole-result op
-// instead": the peer predates open_cursor (BAD_OPERATION) or refuses to
-// open another cursor (the table's cap).
-func cursorFallback(err error) bool {
-	var se *orb.SystemException
-	if errors.As(err, &se) && se.Name == orb.ExcBadOperation {
-		return true
-	}
-	var ue *orb.UserException
-	return errors.As(err, &ue) && ue.Name == "CursorError" &&
-		strings.Contains(ue.Message, "too many open cursors")
-}
-
 // QueryCursor implements Conn over the ISI cursor protocol: open_cursor runs
 // the query and returns the first batch (a small result costs one round trip
 // and leaves no server state), fetch_cursor pulls subsequent batches on
-// demand, close_cursor releases an abandoned stream. Peers that predate the
-// protocol — and servers at their cursor cap — are handled by falling back
-// to the whole-result query op behind a materialized iterator.
+// demand, close_cursor releases an abandoned stream. A server at its cursor
+// cap answers the open with the whole result and done set, so that case
+// costs the same one round trip as a small result.
 func (c *RemoteConn) QueryCursor(ctx context.Context, q string, batchSize int) (RowIter, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
 	a, err := c.ref.InvokeIdempotent(ctx, "open_cursor", idl.String(q), idl.Long(int64(batchSize)))
 	if err != nil {
-		if cursorFallback(err) {
-			res, qerr := c.queryWhole(ctx, q)
-			if qerr != nil {
-				return nil, qerr
-			}
-			return NewSliceIter(res), nil
-		}
 		return nil, remapISIError(err)
 	}
 	if a.Kind != idl.KindStruct {

@@ -239,11 +239,11 @@ func (ms *mergeStream) mergedColumns() []string {
 
 // runMember executes one member's fragment and streams its compensated,
 // projected rows into the merge. The fragment runs through the gateway
-// cursor protocol (unless streaming is disabled), pulling MergeBufRows rows
-// per fetch; the bounded channel send between pulls is what propagates the
-// coordinator's pace back to the wire. On a capability rejection of a pushed
-// clause (the descriptor's engine claim was stale) it retries once with the
-// bare fragment and full coordinator-side compensation.
+// cursor protocol, pulling MergeBufRows rows per fetch; the bounded channel
+// send between pulls is what propagates the coordinator's pace back to the
+// wire. On a capability rejection of a pushed clause (the descriptor's
+// engine claim was stale) it retries once with the bare fragment and full
+// coordinator-side compensation.
 func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 	plan := ms.plan
 	mp := &plan.Members[i]
@@ -254,12 +254,6 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 	msp.SetAttrInt("compensated", len(mp.Exec.Residual))
 	if mp.Exec.LimitPushed {
 		msp.SetAttr("limit", "pushed")
-	}
-	streaming := s.p.streamingOn()
-	if streaming {
-		msp.SetAttr("stream", "cursor")
-	} else {
-		msp.SetAttr("stream", "materialized")
 	}
 	if mt := s.p.memberTimeout(); mt > 0 {
 		var cancel context.CancelFunc
@@ -292,23 +286,13 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 		return
 	}
 	defer conn.Close()
-	open := func(ex *fragmentExec) (gateway.RowIter, error) {
-		if streaming {
-			return conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
-		}
-		res, qerr := conn.Query(mctx, ex.Native)
-		if qerr != nil {
-			return nil, qerr
-		}
-		return gateway.NewSliceIter(res), nil
-	}
 	ex := &mp.Exec
 	if ms.overrides != nil && ms.overrides[i] != nil {
 		ex = ms.overrides[i]
 		msp.SetAttr("semijoin", "keys pushed")
 	}
 	var it gateway.RowIter
-	it, err = open(ex)
+	it, err = conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
 	if err != nil && (ex.Pushed > 0 || ex.LimitPushed || ex.InPushed) && isCapabilityRejection(err) && mctx.Err() == nil {
 		s.tracef("data", "member %s rejected pushed fragment (%v); retrying with full compensation", mp.D.Name, err)
 		msp.SetAttr("fallback", "bare")
@@ -317,7 +301,7 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 			ms.sjFallbacks.Add(1)
 		}
 		ex = &mp.Bare
-		it, err = open(ex)
+		it, err = conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
 	}
 	if err != nil {
 		err = fmt.Errorf("query: %s: %w", mp.D.Name, err)

@@ -148,12 +148,6 @@ type Config struct {
 	// members x 2 x MergeBufRows rows regardless of result size.
 	// 0 selects the default (64).
 	MergeBufRows int
-	// DisableStreaming turns the cursor protocol off for member sub-queries:
-	// every member materializes its whole fragment result in one round trip,
-	// as before the protocol existed. Both modes return identical answers
-	// (the differential tests in internal/simtest run the same workload both
-	// ways); streaming only changes how many rows are in flight at once.
-	DisableStreaming bool
 	// DisableSemiJoin turns semi-join key pushdown off: join statements still
 	// execute (the coordinator always applies the exact key filter), but no
 	// key set is shipped to probe members and no Bloom filter is built. Both
@@ -246,11 +240,9 @@ type Processor struct {
 	fanOutN    atomic.Int32
 	minMembers atomic.Int32
 	memberTO   atomic.Int64 // nanoseconds
-	// Pushdown, merge buffering and cursor streaming are likewise
-	// runtime-tunable (SetPushdown, SetStreaming; differential tests flip
-	// modes on live processors).
+	// Pushdown is likewise runtime-tunable (SetPushdown; differential tests
+	// flip modes on live processors).
 	pushdownOff atomic.Bool
-	streamOff   atomic.Bool
 	mergeBuf    atomic.Int32
 	// Semi-join pushdown mode and thresholds (SetSemiJoin; the differential
 	// tests flip the mode on live processors like the other axes).
@@ -287,7 +279,6 @@ func New(cfg Config) (*Processor, error) {
 	p.minMembers.Store(int32(cfg.MinMembers))
 	p.memberTO.Store(int64(cfg.MemberTimeout))
 	p.pushdownOff.Store(cfg.DisablePushdown)
-	p.streamOff.Store(cfg.DisableStreaming)
 	p.mergeBuf.Store(int32(cfg.MergeBufRows))
 	p.semijoinOff.Store(cfg.DisableSemiJoin)
 	p.sjKeyLimit.Store(int32(cfg.SemiJoinKeyLimit))
@@ -322,14 +313,6 @@ func (p *Processor) alive(node string) bool {
 	}
 	return p.cfg.Alive(node)
 }
-
-// SetStreaming flips the member-side cursor protocol at runtime (see
-// Config.DisableStreaming). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they started under.
-func (p *Processor) SetStreaming(on bool) { p.streamOff.Store(!on) }
-
-// streamingOn reports the current member-transport mode.
-func (p *Processor) streamingOn() bool { return !p.streamOff.Load() }
 
 // SetPushdown flips predicate/limit pushdown at runtime (see
 // Config.DisablePushdown). Safe to call concurrently with running sessions;

@@ -129,8 +129,8 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 		}
 		sp.End(err)
 		if err != nil {
-			// BAD_OPERATION lands here too: a representative that predates
-			// the relay protocol is treated like a dead one.
+			// BAD_OPERATION lands here too: a representative whose servant
+			// has no relay hook is treated like a dead one.
 			p.stats.relayFailovers.Add(1)
 			s.tracef("communication", "relay via representative %s failed (%s): %v",
 				rep.name, classifyErr(err), err)

@@ -211,30 +211,6 @@ func TestRowsScanTypes(t *testing.T) {
 	}
 }
 
-func TestStreamingToggleParity(t *testing.T) {
-	_, nodes := planFederation(t, 3, nil)
-	s := nodes[0].NewSession()
-	ctx := context.Background()
-
-	streamed, err := s.Execute(ctx, `V(R.K) On Coalition C;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[0].Processor.SetStreaming(false)
-	defer nodes[0].Processor.SetStreaming(true)
-	materialized, err := s.Execute(ctx, `V(R.K) On Coalition C;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(streamed.Result, materialized.Result) {
-		t.Fatalf("results differ across transports:\nstreamed: %+v\nmaterialized: %+v",
-			streamed.Result, materialized.Result)
-	}
-	if streamed.Partial != materialized.Partial {
-		t.Fatalf("partial bit differs across transports")
-	}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	t.Helper()

@@ -53,21 +53,22 @@ func streamFederation(tb testing.TB, members, bufRows int) []*core.Node {
 }
 
 // BenchmarkFederatedStreaming measures a large scan-filter federated query
-// with the member cursor protocol on (rows page across the wire in
-// MergeBufRows batches) vs off (each member materializes its whole result in
-// one reply). Reported per mode: p99 statement latency, rows moved per
-// fetch round trip, and the coordinator's peak merge buffer — which the
-// cursor mode must keep bounded by members x MergeBufRows regardless of scan
-// size (asserted here).
+// with rows paging across the wire in MergeBufRows batches ("cursor") vs a
+// merge window as large as a member's result, so each member ships its
+// whole result in the open reply ("materialized", the one-batch
+// federation). Reported per mode: p99 statement latency, rows moved per
+// fetch round trip, and the coordinator's peak merge buffer — which must
+// stay bounded by members x MergeBufRows regardless of scan size (asserted
+// here).
 func BenchmarkFederatedStreaming(b *testing.B) {
-	const members, bufRows = 3, 64
+	const members = 3
 	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"cursor", true}, {"materialized", false}} {
+		name    string
+		bufRows int
+	}{{"cursor", 64}, {"materialized", streamBenchRows}} {
 		b.Run(mode.name, func(b *testing.B) {
+			bufRows := mode.bufRows
 			nodes := streamFederation(b, members, bufRows)
-			nodes[0].Processor.SetStreaming(mode.on)
 			s := nodes[0].NewSession()
 			ctx := context.Background()
 			stmt := `V(R.V, (R.V >= 0)) On Coalition C;`
@@ -105,8 +106,8 @@ func BenchmarkFederatedStreaming(b *testing.B) {
 			}
 			peak := nodes[0].Processor.PlannerStats().PeakMergeBuffered
 			b.ReportMetric(float64(peak), "peak-merge-rows")
-			if mode.on && peak > members*bufRows {
-				b.Fatalf("streamed coordinator buffered %d rows, bound is members x MergeBufRows = %d",
+			if peak > int64(members*bufRows) {
+				b.Fatalf("coordinator buffered %d rows, bound is members x MergeBufRows = %d",
 					peak, members*bufRows)
 			}
 		})

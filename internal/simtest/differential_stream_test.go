@@ -9,27 +9,35 @@ import (
 )
 
 // The differential streaming suite: the same heterogeneous federation is
-// built twice from the same seed — once with the member cursor protocol on
-// (coalition sub-queries page through server-side cursors), once with it off
-// (whole results in one round trip) — and both run an identical workload.
-// The transport may only change how rows cross the wire, never the answer:
+// built twice from the same seed — once with a 2-row cursor batch
+// (coalition sub-queries page through server-side cursors), once with a
+// batch no smaller than any member's result (every member answers in its
+// open reply, one round trip) — and both run an identical workload. The
+// batch size may only change how rows cross the wire, never the answer:
 // rows, columns, the Partial flag and per-member error classes must match
 // exactly, including under a mid-stream member death and a top-K early
 // termination that cancels open cursors.
 
-// buildStreamFed builds one half of a streaming differential pair. A small
-// merge window forces multi-fetch cursor traffic even on the small fixture.
-func buildStreamFed(t *testing.T, seed int64, disableStreaming bool) *Fed {
+// Batch sizes for the two halves of a streaming differential pair. The
+// 2-row window forces multi-fetch cursor traffic even on the small fixture;
+// the one-batch window covers every member's whole fragment result.
+const (
+	pagedBatch   = 2
+	oneBatchRows = diffRows
+)
+
+// buildStreamFed builds one half of a streaming differential pair with the
+// given merge window / cursor batch size.
+func buildStreamFed(t *testing.T, seed int64, batch int) *Fed {
 	t.Helper()
 	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		DisableStreaming: disableStreaming,
-		MergeBufRows:     2,
+		Seed:         seed,
+		Hetero:       true,
+		RowsPerNode:  diffRows,
+		MergeBufRows: batch,
 	})
 	if err != nil {
-		t.Fatalf("build (streaming off=%v): %v\n%s", disableStreaming, err, ReplayLine(seed))
+		t.Fatalf("build (batch %d): %v\n%s", batch, err, ReplayLine(seed))
 	}
 	return fed
 }
@@ -47,15 +55,15 @@ func noCursorsLeaked(t *testing.T, fed *Fed, when string, seed int64) {
 
 // TestDifferentialStreaming runs the workload over the seed matrix, healthy
 // and under a partition, and requires byte-identical outcomes from both
-// transports — while proving the streamed half actually paged through
-// cursors and left none open.
+// batch sizes — while proving the paged half actually paged through cursors
+// and left none open.
 func TestDifferentialStreaming(t *testing.T) {
 	for _, seed := range seedsUnderTest() {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			on := buildStreamFed(t, seed, false)
+			on := buildStreamFed(t, seed, pagedBatch)
 			defer on.Close()
-			off := buildStreamFed(t, seed, true)
+			off := buildStreamFed(t, seed, oneBatchRows)
 			defer off.Close()
 
 			ctx := context.Background()
@@ -63,14 +71,14 @@ func TestDifferentialStreaming(t *testing.T) {
 				t.Helper()
 				ron, err := on.Nodes[0].Session.Execute(ctx, stmt)
 				if err != nil {
-					t.Fatalf("streaming-on %q: %v\n%s", stmt, err, ReplayLine(seed))
+					t.Fatalf("paged %q: %v\n%s", stmt, err, ReplayLine(seed))
 				}
 				roff, err := off.Nodes[0].Session.Execute(ctx, stmt)
 				if err != nil {
-					t.Fatalf("streaming-off %q: %v\n%s", stmt, err, ReplayLine(seed))
+					t.Fatalf("one-batch %q: %v\n%s", stmt, err, ReplayLine(seed))
 				}
 				if a, b := outcomeOf(ron), outcomeOf(roff); a != b {
-					t.Fatalf("transports diverge on %q:\n  cursor      : %+v\n  materialized: %+v\n%s",
+					t.Fatalf("batch sizes diverge on %q:\n  paged    : %+v\n  one-batch: %+v\n%s",
 						stmt, a, b, ReplayLine(seed))
 				}
 				return ron, roff
@@ -84,7 +92,7 @@ func TestDifferentialStreaming(t *testing.T) {
 			noCursorsLeaked(t, on, "after workload", seed)
 
 			// Mid-stream member death: the link to a member dies while the
-			// coalition scan is in flight. Both transports must agree on the
+			// coalition scan is in flight. Both halves must agree on the
 			// degraded accounting — the unreachable member reports "comm" and
 			// the result is Partial.
 			on.Partition(0, 2)
@@ -104,10 +112,10 @@ func TestDifferentialStreaming(t *testing.T) {
 			off.HealAll()
 			noCursorsLeaked(t, on, "after partition run", seed)
 
-			// The equivalence must not be vacuous: the streaming half held
-			// real server-side cursors open across fetches (the 2-row window
-			// forces paging), the materialized half never retained one —
-			// batch-0 whole-result opens keep no server state.
+			// The equivalence must not be vacuous: the paged half held real
+			// server-side cursors open across fetches (the 2-row window forces
+			// paging), the one-batch half never retained one — an open whose
+			// first batch is the whole result keeps no server state.
 			var openedOn, openedOff int64
 			for _, n := range on.Nodes {
 				openedOn += n.Core.CursorStats().Opened
@@ -116,10 +124,10 @@ func TestDifferentialStreaming(t *testing.T) {
 				openedOff += n.Core.CursorStats().Opened
 			}
 			if openedOn == 0 {
-				t.Fatalf("streaming-on federation never paged through a cursor\n%s", ReplayLine(seed))
+				t.Fatalf("paged federation never paged through a cursor\n%s", ReplayLine(seed))
 			}
 			if openedOff != 0 {
-				t.Fatalf("streaming-off federation retained %d cursor(s)\n%s", openedOff, ReplayLine(seed))
+				t.Fatalf("one-batch federation retained %d cursor(s)\n%s", openedOff, ReplayLine(seed))
 			}
 		})
 	}
@@ -133,7 +141,7 @@ func TestStreamingTopKClosesCursors(t *testing.T) {
 	if s := ReplaySeed(); s != 0 {
 		seed = s
 	}
-	fed := buildStreamFed(t, seed, false)
+	fed := buildStreamFed(t, seed, pagedBatch)
 	defer fed.Close()
 	ctx := context.Background()
 

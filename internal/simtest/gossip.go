@@ -19,9 +19,7 @@ const gossipRoundTick = 50 * time.Millisecond
 // replaying a seed replays every exchange in the same order.
 func (f *Fed) RunGossipRound(ctx context.Context) {
 	for _, n := range f.Nodes {
-		if n.Core.Gossip != nil {
-			n.Core.Gossip.Tick(ctx)
-		}
+		n.Core.Gossip.Tick(ctx)
 	}
 	f.Clock.Advance(gossipRoundTick)
 }
@@ -32,9 +30,7 @@ func (f *Fed) RunGossipRound(ctx context.Context) {
 func (f *Fed) GossipMessages() int64 {
 	var total int64
 	for _, n := range f.Nodes {
-		if n.Core.Gossip != nil {
-			total += n.Core.Gossip.Messages()
-		}
+		total += n.Core.Gossip.Messages()
 	}
 	return total
 }
@@ -44,9 +40,6 @@ func (f *Fed) GossipMessages() int64 {
 // co-database version — the fixed point anti-entropy must reach.
 func (f *Fed) GossipConverged() bool {
 	for _, n := range f.Nodes {
-		if n.Core.Gossip == nil {
-			return false
-		}
 		store := n.Core.Gossip.Store()
 		for _, m := range f.Nodes {
 			e, ok := store.Get(m.Name)
@@ -81,9 +74,6 @@ func newGossipMonotonicity(f *Fed) *gossipMonotonicity {
 // Check returns the first violation found, or "" when the invariant holds.
 func (m *gossipMonotonicity) Check() string {
 	for i, n := range m.fed.Nodes {
-		if n.Core.Gossip == nil {
-			continue
-		}
 		dig := n.Core.Gossip.Store().Digest()
 		for name, ver := range m.last[i] {
 			if dig[name] < ver {

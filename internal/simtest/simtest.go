@@ -63,14 +63,12 @@ type Config struct {
 	// The differential suite builds one federation per mode from the same
 	// seed and requires identical answers.
 	DisablePushdown bool
-	// DisableStreaming builds every node with the member cursor protocol off:
-	// coalition sub-queries materialize whole results instead of paging. The
-	// streaming differential suite builds one federation per transport from
-	// the same seed and requires identical answers.
-	DisableStreaming bool
 	// MergeBufRows overrides each node's merge window / cursor batch size
 	// (0 = default 64). Small values force multi-fetch cursor traffic even on
-	// small fixtures.
+	// small fixtures; values at least the largest member result make every
+	// member answer in its open reply. The streaming differential suite
+	// builds one federation per batch size from the same seed and requires
+	// identical answers.
 	MergeBufRows int
 	// DisableSemiJoin builds every node with semi-join key pushdown off:
 	// join statements run with the exact coordinator filter only. The
@@ -97,9 +95,6 @@ type Config struct {
 	// membership at boot and make convergence (and the flat-baseline
 	// comparison) vacuous.
 	NoBaseCoalition bool
-	// DisableGossip builds every node without its anti-entropy agent, as
-	// core.NodeConfig.DisableGossip does.
-	DisableGossip bool
 	// GossipFanout is how many peers each node exchanges digests with per
 	// simulated gossip round (0 = agent default 3).
 	GossipFanout int
@@ -200,12 +195,10 @@ func Build(cfg Config) (*Fed, error) {
 			Clock:             fed.Clock.Now,
 			MDCacheTTL:        cfg.MDCacheTTL,
 			DisablePushdown:   cfg.DisablePushdown,
-			DisableStreaming:  cfg.DisableStreaming,
 			MergeBufRows:      cfg.MergeBufRows,
 			DisableSemiJoin:   cfg.DisableSemiJoin,
 			SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
 			SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-			DisableGossip:     cfg.DisableGossip,
 			GossipFanout:      cfg.GossipFanout,
 			// Each agent shuffles its peer ring from its own stream, derived
 			// from the run seed so replaying a seed replays every walk.
