@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify race bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke bench-json bench-json-smoke bench-diff bench-diff-smoke lint
+.PHONY: verify race bench test build vet ci fmt-check cover cover-check bench-smoke chaos sim sim-scale fuzz-smoke bench-json bench-json-smoke bench-diff bench-diff-smoke lint fedbench-check
 
 # COVER_FLOOR is the coverage ratchet: verify fails below this total.
 # Raise it when coverage grows; never lower it (PR-2 baseline was 74.3%,
@@ -18,10 +18,17 @@ verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify,
-# race detector, chaos suite, simulation suite, coverage ratchet, fuzz
-# smoke, and a one-iteration benchmark smoke.
-ci: fmt-check verify race chaos sim cover-check fuzz-smoke bench-smoke bench-diff-smoke
+# ci mirrors .github/workflows/ci.yml: formatting gate, tier-1 verify, the
+# federation benchmark module check, race detector, chaos suite, simulation
+# suite, coverage ratchet, fuzz smoke, and a one-iteration benchmark smoke.
+ci: fmt-check verify fedbench-check race chaos sim cover-check fuzz-smoke bench-smoke bench-diff-smoke
+
+# fedbench-check vets and tests the federation benchmark, a nested module
+# (fedbench/go.mod) that `go test ./...` at the root does not reach. It
+# builds against this tree's core and query packages, so an API change that
+# breaks the benchmark fails here rather than at benchmark time.
+fedbench-check:
+	cd fedbench && $(GO) vet ./... && $(GO) test ./...
 
 # chaos runs the fault-injection suites (injected connect failures, latency,
 # drops and resets; retry/breaker behaviour; partial-result degradation)

@@ -438,8 +438,11 @@ func BenchmarkCoalitionFanOut(b *testing.B) {
 	runMed := func(b *testing.B, fanOut int) {
 		w := getBenchWorld(b)
 		qut, _ := w.Node(medworld.QUT)
-		qut.Processor.SetFanOut(fanOut)
-		b.Cleanup(func() { qut.Processor.SetFanOut(0) })
+		prev := qut.Processor.Options()
+		o := prev
+		o.FanOut = fanOut
+		qut.Processor.SetOptions(o)
+		b.Cleanup(func() { qut.Processor.SetOptions(prev) })
 		s := qut.NewSession()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -456,7 +459,9 @@ func BenchmarkCoalitionFanOut(b *testing.B) {
 	const slowQ = `Fetch(Records.V) On Coalition SlowTopic;`
 	runSlow := func(b *testing.B, fanOut int) {
 		p := buildSlowFed(b, members, delay)
-		p.SetFanOut(fanOut)
+		o := p.Options()
+		o.FanOut = fanOut
+		p.SetOptions(o)
 		s := p.NewSession()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,7 +8,11 @@
 //
 //	webfindit-node -config node.json [-serve-naming]
 //
-// Config file format (JSON):
+// Config file format (JSON). The key list is the JSON tags on
+// core.NodeConfig and its embedded query.Options (the node) plus those on
+// nodeFile below (the process); decoding is strict, so an unknown or
+// misspelt key — including a removed one such as semijoin_bloom_bits —
+// fails at boot with the key named. An example with every key:
 //
 //	{
 //	  "name": "Royal Brisbane Hospital",
@@ -19,6 +23,8 @@
 //	  "naming": "127.0.0.1:9000",          // optional naming service to register with
 //	  "information_type": "Research and Medical",
 //	  "documentation": "http://example.org/rbh",
+//	  "document_html": "<p>...</p>",       // document body served by the browser UI
+//	  "location": "Brisbane",              // advertised location (default: the ORB address)
 //	  "schema": "CREATE TABLE t (a INT);", // inline SQL, or:
 //	  "schema_file": "schema.sql",
 //	  "slow_call_ms": 50,                  // slow-call log threshold (0 = off)
@@ -31,9 +37,10 @@
 //	  "mdcache_ttl_ms": 2000,              // metadata cache positive TTL (0 = default, -1 disables the cache)
 //	  "mdcache_neg_ttl_ms": 250,           // metadata cache negative TTL (0 = default)
 //	  "mdcache_max_entries": 4096,         // metadata cache LRU bound (0 = default)
+//	  "disable_pushdown": false,           // members run bare fragments; the coordinator compensates everything
+//	  "merge_buf_rows": 64,                // per-member merge window and cursor batch (0 = default 64)
 //	  "disable_semijoin": false,           // semi-joins filter at the coordinator only (no key pushdown)
 //	  "semijoin_key_limit": 64,            // largest key set pushed as IN lists; larger sets go Bloom (0 = default 64)
-//	  "semijoin_bloom_bits": 10,           // Bloom prefilter bits per build-side key (0 = default 10)
 //	  "cursor_max_open": 32,               // server-side cursor cap per servant (0 = default 32; past it, opens return whole results)
 //	  "cursor_idle_ms": 120000,            // idle cursor reap TTL (0 = default 2 minutes)
 //	  "gossip_interval_ms": 1000,          // gossip round pacing (0 = default 1s)
@@ -41,13 +48,15 @@
 //	  "subcoalition_size": 32,             // coalition size before discovery routes via representatives (0 = default 32, -1 = flat only)
 //	  "fragment_threshold_bytes": 262144,  // GIOP fragmentation threshold (0 = default 256 KiB, -1 off)
 //	  "chaos": { "seed": 1, "rules": [...] }, // optional fault-injection plan
-//	  "interface": [ { "name": "T", "functions": [ ... ] } ]
+//	  "interface": [ { "name": "T", "functions": [ ... ] } ],
+//	  "interface_wtl": "Type T { ... }"    // interface in WebTassili syntax, appended to "interface"
 //	}
 //
 // The -chaos flag loads a fault-injection plan (same JSON shape as the
 // "chaos" config field) and applies it to the node's outbound IIOP calls,
-// overriding the config field. Breaker states are published at
-// /debug/metrics alongside the ORB counters.
+// overriding the config field. With "http" set, /debug/metrics publishes the
+// node's counters under "orb", "breakers", "mdcache", "plancache", "planner",
+// "cursors", "gossip" and "parserpool".
 package main
 
 import (
@@ -67,81 +76,77 @@ import (
 	"repro/internal/core"
 	"repro/internal/naming"
 	"repro/internal/orb"
+	"repro/internal/query"
 	"repro/internal/relational"
 	"repro/internal/trace"
 	"repro/internal/wtl"
 )
 
+// nodeFile is the config file: the node itself (core.NodeConfig, whose JSON
+// tags and those of the embedded query.Options are the node keys) plus the
+// process-level keys declared here. Decoding is strict: an unknown or
+// misspelt key fails at boot with the key named.
 type nodeFile struct {
-	Name            string `json:"name"`
-	Engine          string `json:"engine"`
-	ORB             string `json:"orb"`
-	Listen          string `json:"listen"`
-	HTTP            string `json:"http"`
-	Naming          string `json:"naming"`
-	InformationType string `json:"information_type"`
-	Documentation   string `json:"documentation"`
-	DocumentHTML    string `json:"document_html"`
-	Location        string `json:"location"`
-	Schema          string `json:"schema"`
-	SchemaFile      string `json:"schema_file"`
-	// SlowCallMS sets the tracer's slow-call threshold in milliseconds:
-	// spans at least this slow are kept in the slow-call ring
-	// (/debug/trace/slow) and logged. 0 disables the slow-call log.
-	SlowCallMS int `json:"slow_call_ms"`
-	// Fault-tolerance policy for outbound IIOP calls and coalition fan-out.
-	CallTimeoutMS     int `json:"call_timeout_ms"`
-	RetryAttempts     int `json:"retry_attempts"`
-	BreakerThreshold  int `json:"breaker_threshold"`
-	BreakerCooldownMS int `json:"breaker_cooldown_ms"`
-	MinMembers        int `json:"min_members"`
-	MemberTimeoutMS   int `json:"member_timeout_ms"`
-	// Federation metadata cache knobs. TTL -1 disables the cache entirely;
-	// 0 keeps the built-in defaults (2s positive, 250ms negative, 4096
-	// entries). Stats are published at /debug/metrics under "mdcache".
-	MDCacheTTLMS      int `json:"mdcache_ttl_ms"`
-	MDCacheNegTTLMS   int `json:"mdcache_neg_ttl_ms"`
-	MDCacheMaxEntries int `json:"mdcache_max_entries"`
-	// Federated planner knobs. DisablePushdown runs every coalition member
-	// on the bare fragment with full coordinator compensation (the planner's
-	// differential-testing mode); MergeBufRows bounds each member's
-	// streaming-merge channel (0 = default 64). DisableSemiJoin keeps
-	// semi-join key sets at the coordinator (no IN pushdown, no Bloom);
-	// SemiJoinKeyLimit is the exact-IN/Bloom crossover (0 = default 64);
-	// SemiJoinBloomBits sizes the Bloom prefilter per build-side key
-	// (0 = default 10). Planner counters are published at /debug/metrics
-	// under "planner".
-	DisablePushdown   bool `json:"disable_pushdown"`
-	MergeBufRows      int  `json:"merge_buf_rows"`
-	DisableSemiJoin   bool `json:"disable_semijoin"`
-	SemiJoinKeyLimit  int  `json:"semijoin_key_limit"`
-	SemiJoinBloomBits int  `json:"semijoin_bloom_bits"`
-	// Streaming-reply knobs. CursorMaxOpen caps cursors held open per
-	// servant (0 = default 32; an open past the cap returns the whole result
-	// and keeps nothing); CursorIdleMS is the idle-reap TTL (0 = default 2
-	// minutes); FragmentThresholdBytes is the GIOP message size past which
-	// replies fragment on the wire (0 = default 256 KiB, -1 disables
-	// fragmentation). Cursor counters are published at /debug/metrics under
-	// "cursors".
-	CursorMaxOpen int `json:"cursor_max_open"`
-	CursorIdleMS  int `json:"cursor_idle_ms"`
-	// Gossip membership and hierarchical-discovery knobs. GossipIntervalMS
-	// paces the anti-entropy agent's rounds (0 = default 1000); GossipFanout
-	// is the peers contacted per round (0 = default 3); SubCoalitionSize is
-	// the coalition size above which stage-3 discovery routes through
-	// sub-coalition representatives (0 = default 32, -1 keeps flat fan-out
-	// for every size). Agent counters — rounds, deltas sent/applied,
-	// digest/delta bytes, convergence lag — are published at /debug/metrics
-	// under "gossip".
-	GossipIntervalMS       int                 `json:"gossip_interval_ms"`
-	GossipFanout           int                 `json:"gossip_fanout"`
-	SubCoalitionSize       int                 `json:"subcoalition_size"`
-	FragmentThresholdBytes int                 `json:"fragment_threshold_bytes"`
-	Chaos                  *orb.FaultPlan      `json:"chaos"`
-	Interface              []codb.ExportedType `json:"interface"`
+	core.NodeConfig
+	Listen string `json:"listen"` // IIOP endpoint (default 127.0.0.1:0)
+	HTTP   string `json:"http"`   // browser UI and /debug endpoint; "" = none
+	Naming string `json:"naming"` // naming service to register with; "" = none
+	// SchemaFile, when set, replaces the inline schema with the file's body.
+	SchemaFile string `json:"schema_file"`
+	// SlowCall sets the tracer's slow-call threshold: spans at least this
+	// slow are kept in the slow-call ring (/debug/trace/slow) and logged.
+	// 0 disables the slow-call log.
+	SlowCall query.Millis `json:"slow_call_ms"`
+	// The ORB product and its policy for outbound IIOP calls.
+	Product                string         `json:"orb"` // default Orbix
+	CallTimeout            query.Millis   `json:"call_timeout_ms"`
+	RetryAttempts          int            `json:"retry_attempts"`
+	BreakerThreshold       int            `json:"breaker_threshold"`
+	BreakerCooldown        query.Millis   `json:"breaker_cooldown_ms"`
+	FragmentThresholdBytes int            `json:"fragment_threshold_bytes"`
+	Chaos                  *orb.FaultPlan `json:"chaos"`
 	// InterfaceWTL declares the exported interface in the paper's WebTassili
-	// syntax (Type X { attribute ...; function ...; }) instead of JSON.
+	// syntax (Type X { attribute ...; function ...; }); its types are
+	// appended to Interface.
 	InterfaceWTL string `json:"interface_wtl"`
+}
+
+// loadConfig reads and strictly decodes a config file, applies the
+// process-level defaults, and folds schema_file and interface_wtl into the
+// node config.
+func loadConfig(path string) (*nodeFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	cfg := &nodeFile{}
+	if err := dec.Decode(cfg); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	if cfg.Listen == "" {
+		cfg.Listen = "127.0.0.1:0"
+	}
+	if cfg.Product == "" {
+		cfg.Product = string(orb.Orbix)
+	}
+	if cfg.InterfaceWTL != "" {
+		parsed, err := codb.ParseInterface(cfg.InterfaceWTL)
+		if err != nil {
+			return nil, fmt.Errorf("interface_wtl: %w", err)
+		}
+		cfg.Interface = append(cfg.Interface, parsed...)
+	}
+	if cfg.SchemaFile != "" {
+		body, err := os.ReadFile(cfg.SchemaFile)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Schema = string(body)
+	}
+	return cfg, nil
 }
 
 func main() {
@@ -154,23 +159,13 @@ func main() {
 	if *configPath == "" {
 		log.Fatal("the -config flag is required")
 	}
-	data, err := os.ReadFile(*configPath)
+	cfg, err := loadConfig(*configPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfg nodeFile
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("parse %s: %v", *configPath, err)
-	}
-	if cfg.Listen == "" {
-		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.ORB == "" {
-		cfg.ORB = string(orb.Orbix)
-	}
 
 	tracer := trace.New(trace.Options{
-		SlowThreshold: time.Duration(cfg.SlowCallMS) * time.Millisecond,
+		SlowThreshold: time.Duration(cfg.SlowCall),
 		SlowLog:       log.Printf,
 	})
 	tracer.Publish("node", func() any { return cfg.Name })
@@ -188,12 +183,12 @@ func main() {
 		faults = &plan
 	}
 	o := orb.New(orb.Options{
-		Product:     orb.Product(cfg.ORB),
-		CallTimeout: time.Duration(cfg.CallTimeoutMS) * time.Millisecond,
+		Product:     orb.Product(cfg.Product),
+		CallTimeout: time.Duration(cfg.CallTimeout),
 		Retry:       orb.RetryPolicy{MaxAttempts: cfg.RetryAttempts},
 		Breaker: orb.BreakerPolicy{
 			Threshold: cfg.BreakerThreshold,
-			Cooldown:  time.Duration(cfg.BreakerCooldownMS) * time.Millisecond,
+			Cooldown:  time.Duration(cfg.BreakerCooldown),
 		},
 		FragmentThreshold: cfg.FragmentThresholdBytes,
 		Faults:            faults,
@@ -208,7 +203,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer o.Shutdown()
-	log.Printf("ORB %s listening on %s", cfg.ORB, o.Addr())
+	log.Printf("ORB %s listening on %s", cfg.Product, o.Addr())
 
 	if *serveNaming {
 		if _, _, err := naming.Serve(o); err != nil {
@@ -217,48 +212,8 @@ func main() {
 		log.Printf("naming service active at %s", o.Addr())
 	}
 
-	iface := cfg.Interface
-	if cfg.InterfaceWTL != "" {
-		parsed, err := codb.ParseInterface(cfg.InterfaceWTL)
-		if err != nil {
-			log.Fatalf("interface_wtl: %v", err)
-		}
-		iface = append(iface, parsed...)
-	}
-	schema := cfg.Schema
-	if cfg.SchemaFile != "" {
-		body, err := os.ReadFile(cfg.SchemaFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		schema = string(body)
-	}
-	node, err := core.NewNode(core.NodeConfig{
-		Name:            cfg.Name,
-		Engine:          cfg.Engine,
-		ORB:             o,
-		InformationType: cfg.InformationType,
-		Documentation:   cfg.Documentation,
-		DocumentHTML:    cfg.DocumentHTML,
-		Location:        cfg.Location,
-		Interface:       iface,
-		Schema:          schema,
-
-		DisableMDCache:    cfg.MDCacheTTLMS < 0,
-		MDCacheTTL:        time.Duration(max(cfg.MDCacheTTLMS, 0)) * time.Millisecond,
-		MDCacheNegTTL:     time.Duration(cfg.MDCacheNegTTLMS) * time.Millisecond,
-		MDCacheMaxEntries: cfg.MDCacheMaxEntries,
-		DisablePushdown:   cfg.DisablePushdown,
-		MergeBufRows:      cfg.MergeBufRows,
-		DisableSemiJoin:   cfg.DisableSemiJoin,
-		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-		CursorMaxOpen:     cfg.CursorMaxOpen,
-		CursorIdleTTL:     time.Duration(cfg.CursorIdleMS) * time.Millisecond,
-		GossipInterval:    time.Duration(cfg.GossipIntervalMS) * time.Millisecond,
-		GossipFanout:      cfg.GossipFanout,
-		SubCoalitionSize:  cfg.SubCoalitionSize,
-	})
+	cfg.ORB = o
+	node, err := core.NewNode(cfg.NodeConfig)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -281,10 +236,6 @@ func main() {
 			"wtl": wtl.PoolStats(),
 		}
 	})
-	if cfg.MinMembers > 0 || cfg.MemberTimeoutMS > 0 {
-		node.Processor.SetMemberPolicy(cfg.MinMembers,
-			time.Duration(cfg.MemberTimeoutMS)*time.Millisecond)
-	}
 	log.Printf("node %q up: engine=%s wrapper=%s", cfg.Name, cfg.Engine, node.Descriptor.Wrapper)
 	fmt.Printf("ISI IOR:        %s\n", node.Descriptor.ISIRef)
 	fmt.Printf("CoDatabase IOR: %s\n", node.Descriptor.CoDBRef)

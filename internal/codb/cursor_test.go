@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cursor"
 	"repro/internal/orb"
 )
 
@@ -46,14 +47,16 @@ func startCoDBPairORBs(t *testing.T, cd *CoDatabase, opts ServantOptions) (*Clie
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Shutdown)
-	servant, table := NewServantWith(cd, opts)
-	ior, err := server.Activate("CoDatabase/Registry", servant)
+	if opts.Cursors == nil {
+		opts.Cursors = cursor.NewTable(0, 0, nil)
+	}
+	ior, err := server.Activate("CoDatabase/Registry", NewServantWith(cd, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clientORB := orb.New(orb.Options{Product: orb.OrbixWeb, DisableColocation: true})
 	t.Cleanup(clientORB.Shutdown)
-	return NewClient(clientORB.Resolve(ior)), table, server, clientORB
+	return NewClient(clientORB.Resolve(ior)), opts.Cursors, server, clientORB
 }
 
 func TestInstancesPagedBatches(t *testing.T) {
@@ -131,7 +134,7 @@ func TestInstancesDelegatesThroughCursor(t *testing.T) {
 }
 
 func TestInstancesPagedCapFallsBack(t *testing.T) {
-	c, table, server, client := startCoDBPairORBs(t, newWideCoDB(t, 6), ServantOptions{CursorMaxOpen: 1})
+	c, table, server, client := startCoDBPairORBs(t, newWideCoDB(t, 6), ServantOptions{Cursors: cursor.NewTable(1, 0, nil)})
 	ctx := context.Background()
 
 	held, err := c.InstancesPaged(ctx, "Medical", 1)
@@ -177,8 +180,7 @@ func TestInstancesPagedCapFallsBack(t *testing.T) {
 func TestServantCursorReaping(t *testing.T) {
 	clock := time.Unix(5000, 0)
 	c, table := startCoDBPair(t, newWideCoDB(t, 8), ServantOptions{
-		CursorIdleTTL: time.Minute,
-		Clock:         func() time.Time { return clock },
+		Cursors: cursor.NewTable(0, time.Minute, func() time.Time { return clock }),
 	})
 	ctx := context.Background()
 	it, err := c.InstancesPaged(ctx, "Medical", 2)

@@ -62,14 +62,14 @@ func MatchFromAny(a idl.Any) Match {
 	}
 }
 
-// ServantOptions tune the servant's instance-cursor table and optional
-// scale-out hooks; the zero value selects the cursor package defaults and
-// leaves the gossip and relay operations unregistered (callers then get
+// ServantOptions give the servant its instance-cursor table and optional
+// scale-out hooks; the zero value selects a default cursor table and leaves
+// the gossip and relay operations unregistered (callers then get
 // BAD_OPERATION).
 type ServantOptions struct {
-	CursorMaxOpen int              // open-cursor cap for paged instance listings
-	CursorIdleTTL time.Duration    // idle reap threshold
-	Clock         func() time.Time // nil = time.Now (simulations inject one)
+	// Cursors holds the paged instance listings; nil selects a table with
+	// the cursor package defaults.
+	Cursors *cursor.Table
 
 	// Gossip serves the anti-entropy operations (gossip_pull/gossip_push)
 	// when non-nil — in practice the node's *gossip.Agent.
@@ -91,17 +91,19 @@ type GossipExchanger interface {
 // NewServant exposes a co-database through the ORB with default cursor
 // options.
 func NewServant(cd *CoDatabase) orb.Servant {
-	s, _ := NewServantWith(cd, ServantOptions{})
-	return s
+	return NewServantWith(cd, ServantOptions{})
 }
 
-// NewServantWith is NewServant with cursor options; it also returns the
-// servant's cursor table so the node can publish its stats.
-func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.Table) {
+// NewServantWith is NewServant with a caller-owned cursor table and the
+// scale-out hooks.
+func NewServantWith(cd *CoDatabase, opts ServantOptions) orb.Servant {
 	userErr := func(err error) error {
 		return &orb.UserException{Name: "CoDatabaseError", Message: err.Error()}
 	}
-	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
+	cursors := opts.Cursors
+	if cursors == nil {
+		cursors = cursor.NewTable(0, 0, nil)
+	}
 	h := orb.NewHandler(IDL)
 	// on wraps each operation in a "codb.<op>" span tagged with the owning
 	// database, so metadata lookups appear in the trace of the query that
@@ -288,7 +290,7 @@ func NewServantWith(cd *CoDatabase, opts ServantOptions) (orb.Servant, *cursor.T
 			return idl.Seq(out...), nil
 		})
 	}
-	return h, cursors
+	return h
 }
 
 // Client is a typed client for a (possibly remote) co-database servant. The

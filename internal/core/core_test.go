@@ -70,6 +70,23 @@ func TestNewNodeRelational(t *testing.T) {
 	}
 }
 
+// TestNewNodeMDCacheOff: a negative MDCacheTTL (mdcache_ttl_ms -1 in node
+// JSON) builds the node without a metadata cache; zero keeps the default one.
+func TestNewNodeMDCacheOff(t *testing.T) {
+	o := newTestORB(t)
+	on, err := NewNode(NodeConfig{Name: "CacheOn", Engine: EngineOracle, ORB: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewNode(NodeConfig{Name: "CacheOff", Engine: EngineOracle, ORB: o, MDCacheTTL: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.MDCache == nil || off.MDCache != nil {
+		t.Errorf("MDCache: default %v, negative TTL %v; want a cache only by default", on.MDCache, off.MDCache)
+	}
+}
+
 func TestNewNodeObject(t *testing.T) {
 	o := newTestORB(t)
 	n, err := NewNode(NodeConfig{

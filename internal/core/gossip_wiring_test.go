@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 // gossipFederation builds a two-node federation for the wiring tests: GA
@@ -24,7 +25,7 @@ func gossipFederation(t *testing.T) (*Federation, *Node, *Node) {
 			InformationType: "testing",
 			Schema:          "CREATE TABLE t (a INT);",
 			GossipSeed:      int64(i + 1),
-			GossipInterval:  time.Millisecond,
+			GossipInterval:  query.Millis(time.Millisecond),
 		}
 		if _, err := f.AddNode(orb.Orbix, cfg); err != nil {
 			t.Fatal(err)

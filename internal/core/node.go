@@ -43,89 +43,66 @@ func IsRelational(engine string) bool {
 	return false
 }
 
-// NodeConfig describes one participating database.
+// NodeConfig describes one participating database. It is also the schema of
+// a webfindit-node config file: each JSON tag here and on the embedded
+// query.Options is a config key, and the fields tagged "-" are set only by
+// Go callers. Durations use query.Millis, which JSON carries as whole
+// milliseconds.
 type NodeConfig struct {
-	Name            string // database name, e.g. "Royal Brisbane Hospital"
-	Engine          string // one of the Engine* constants
-	ORB             *orb.ORB
-	InformationType string
-	Documentation   string // URL
-	DocumentHTML    string // document body served by the browser layer
-	Location        string // advertised location; defaults to the ORB address
-	Interface       []codb.ExportedType
+	Name            string              `json:"name"`   // database name, e.g. "Royal Brisbane Hospital"
+	Engine          string              `json:"engine"` // one of the Engine* constants
+	ORB             *orb.ORB            `json:"-"`
+	InformationType string              `json:"information_type"`
+	Documentation   string              `json:"documentation"` // URL
+	DocumentHTML    string              `json:"document_html"` // document body served by the browser layer
+	Location        string              `json:"location"`      // advertised location; defaults to the ORB address
+	Interface       []codb.ExportedType `json:"interface"`
 	// Schema, for relational engines, is a SQL script (DDL + seed rows) run
 	// at construction. Object engines seed through SeedObjects.
-	Schema string
+	Schema string `json:"schema"`
 	// SeedObjects, for object engines, populates the fresh OO database.
-	SeedObjects func(*oodb.DB) error
+	SeedObjects func(*oodb.DB) error `json:"-"`
 
-	// DisableMDCache turns off the federation metadata cache the node's
-	// query processor uses for coalition membership, source descriptors and
-	// peer discovery probes. The cache is on by default; only metadata (the
+	// MDCacheTTL / MDCacheNegTTL / MDCacheMaxEntries override the federation
+	// metadata cache defaults (2s positive TTL, 250ms negative TTL, 4096
+	// entries) when positive; zero keeps the default. A negative MDCacheTTL
+	// runs the node's query processor without the cache. Only metadata (the
 	// co-database tier) is ever cached — data queries always hit the source.
-	DisableMDCache bool
-	// MDCacheTTL / MDCacheNegTTL / MDCacheMaxEntries override the cache
-	// defaults (2s positive TTL, 250ms negative TTL, 4096 entries) when
-	// positive; zero keeps the default.
-	MDCacheTTL        time.Duration
-	MDCacheNegTTL     time.Duration
-	MDCacheMaxEntries int
+	MDCacheTTL        query.Millis `json:"mdcache_ttl_ms"`
+	MDCacheNegTTL     query.Millis `json:"mdcache_neg_ttl_ms"`
+	MDCacheMaxEntries int          `json:"mdcache_max_entries"`
 	// Clock, when set, overrides time.Now for the node's metadata cache.
 	// Deterministic simulations (internal/simtest) pin it to the simnet
 	// virtual clock so TTL expiry is a virtual-time event that tests
 	// advance explicitly.
-	Clock func() time.Time
+	Clock func() time.Time `json:"-"`
 
 	// AdvertiseEngine, when set, is the engine name the node's source
 	// descriptor claims instead of Engine. The node still runs Engine
 	// underneath — this models metadata drift (a member whose co-database
 	// entry is stale), which the federated planner must tolerate by falling
 	// back to full compensation when a pushed clause is rejected.
-	AdvertiseEngine string
-	// DisablePushdown starts the node's query processor with predicate and
-	// limit pushdown off (see query.Config.DisablePushdown). Differential
-	// tests build one federation per mode and require identical answers.
-	DisablePushdown bool
-	// MergeBufRows bounds each member's streaming-merge channel and the
-	// cursor batch size member sub-queries fetch with (see
-	// query.Config.MergeBufRows); 0 keeps the default (64).
-	MergeBufRows int
-	// DisableSemiJoin starts the node's query processor with semi-join key
-	// pushdown off (see query.Config.DisableSemiJoin): join statements run,
-	// but every probe row crosses the wire and the coordinator filters.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit is the exact-IN/Bloom crossover for semi-join key
-	// sets (see query.Config.SemiJoinKeyLimit); 0 keeps the default (64).
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits sizes the semi-join Bloom prefilter in bits per key
-	// (see query.Config.SemiJoinBloomBits); 0 keeps the default (10).
-	SemiJoinBloomBits int
+	AdvertiseEngine string `json:"-"`
+	// Options are the query processor's planner and fan-out knobs.
+	query.Options
 	// CursorMaxOpen caps the server-side cursors the node's ISI and
 	// co-database servants will hold open at once; 0 keeps the default (32).
 	// An open past the cap returns the whole result and keeps nothing.
-	CursorMaxOpen int
+	CursorMaxOpen int `json:"cursor_max_open"`
 	// CursorIdleTTL is how long an untouched server-side cursor survives
 	// before the reaper collects it; 0 keeps the default (2 minutes).
 	// Cursor tables share the node Clock when one is injected.
-	CursorIdleTTL time.Duration
+	CursorIdleTTL query.Millis `json:"cursor_idle_ms"`
 
 	// GossipInterval paces the background gossip loop started by
 	// StartGossip; 0 keeps the default (1s).
-	GossipInterval time.Duration
+	GossipInterval query.Millis `json:"gossip_interval_ms"`
 	// GossipFanout is how many peers each gossip round exchanges digests
 	// with; 0 keeps the default (3).
-	GossipFanout int
+	GossipFanout int `json:"gossip_fanout"`
 	// GossipSeed seeds the agent's deterministic peer-ring shuffle; 0 keeps
 	// the default. Simulations derive one per node from the run seed.
-	GossipSeed int64
-	// GossipSuspectAfter is how many consecutive failed exchanges mark a
-	// peer dead for representative election; 0 keeps the default (2).
-	GossipSuspectAfter int
-	// SubCoalitionSize is the coalition size above which stage-3 discovery
-	// routes through sub-coalition representatives (see
-	// query.Config.SubCoalitionSize); 0 keeps the default (32), negative
-	// disables hierarchical routing.
-	SubCoalitionSize int
+	GossipSeed int64 `json:"-"`
 }
 
 // Node is one running WebFINDIT participant.
@@ -138,7 +115,7 @@ type Node struct {
 	ISIIOR     *orb.IOR
 	CoDBIOR    *orb.IOR
 	Processor  *query.Processor
-	MDCache    *mdcache.Cache // nil when NodeConfig.DisableMDCache is set
+	MDCache    *mdcache.Cache // nil when NodeConfig.MDCacheTTL is negative
 	// Gossip is the node's anti-entropy membership agent. It is passive
 	// until StartGossip runs (production) or a test drives Tick directly.
 	Gossip *gossip.Agent
@@ -242,29 +219,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 				n.Processor.GossipApplied(applied)
 			}
 		},
-		Fanout:       cfg.GossipFanout,
-		Interval:     cfg.GossipInterval,
-		Seed:         cfg.GossipSeed,
-		SuspectAfter: cfg.GossipSuspectAfter,
+		Fanout:   cfg.GossipFanout,
+		Interval: time.Duration(cfg.GossipInterval),
+		Seed:     cfg.GossipSeed,
 	})
 
-	// Activate the servants.
-	isiServant, isiCursors := gateway.NewISIServantWith(conn, gateway.ISIServantOptions{
-		CursorMaxOpen: cfg.CursorMaxOpen,
-		CursorIdleTTL: cfg.CursorIdleTTL,
-		Clock:         cfg.Clock,
-	})
-	n.isiCursors = isiCursors
-	isiIOR, err := cfg.ORB.Activate(isiKey(cfg.Name), isiServant)
+	// Activate the servants, each over its own cursor table.
+	n.isiCursors = cursor.NewTable(cfg.CursorMaxOpen, time.Duration(cfg.CursorIdleTTL), cfg.Clock)
+	n.codbCursors = cursor.NewTable(cfg.CursorMaxOpen, time.Duration(cfg.CursorIdleTTL), cfg.Clock)
+	isiIOR, err := cfg.ORB.Activate(isiKey(cfg.Name), gateway.NewISIServantWith(conn, n.isiCursors))
 	if err != nil {
 		return nil, err
 	}
 	n.ISIIOR = isiIOR
-	codbServant, codbCursors := codb.NewServantWith(n.CoDB, codb.ServantOptions{
-		CursorMaxOpen: cfg.CursorMaxOpen,
-		CursorIdleTTL: cfg.CursorIdleTTL,
-		Clock:         cfg.Clock,
-		Gossip:        n.Gossip,
+	codbServant := codb.NewServantWith(n.CoDB, codb.ServantOptions{
+		Cursors: n.codbCursors,
+		Gossip:  n.Gossip,
 		// A relay_probe landing in the startup window before n.Processor is
 		// set gets an empty reply, which coordinators treat as a failed relay.
 		Relay: func(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
@@ -274,7 +244,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return n.Processor.RelayProbe(ctx, topic, members)
 		},
 	})
-	n.codbCursors = codbCursors
 	codbIOR, err := cfg.ORB.Activate(codbKey(cfg.Name), codbServant)
 	if err != nil {
 		return nil, err
@@ -306,28 +275,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	resolveInterfaceTables(n)
 	n.CoDB.SetOwnerDescriptor(n.Descriptor)
 
-	if !cfg.DisableMDCache {
+	if cfg.MDCacheTTL >= 0 {
 		n.MDCache = mdcache.New(mdcache.Options{
-			TTL:        cfg.MDCacheTTL,
-			NegTTL:     cfg.MDCacheNegTTL,
+			TTL:        time.Duration(cfg.MDCacheTTL),
+			NegTTL:     time.Duration(cfg.MDCacheNegTTL),
 			MaxEntries: cfg.MDCacheMaxEntries,
 			Clock:      cfg.Clock,
 		})
 	}
 	n.Processor, err = query.New(query.Config{
-		ORB:               cfg.ORB,
-		Home:              cfg.Name,
-		HomeDescriptor:    n.Descriptor,
-		Local:             codb.NewClient(cfg.ORB.Resolve(codbIOR)),
-		LocalCoDB:         n.CoDB,
-		Cache:             n.MDCache,
-		DisablePushdown:   cfg.DisablePushdown,
-		MergeBufRows:      cfg.MergeBufRows,
-		DisableSemiJoin:   cfg.DisableSemiJoin,
-		SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-		SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-		SubCoalitionSize:  cfg.SubCoalitionSize,
-		Alive:             n.Gossip.Store().Alive,
+		ORB:            cfg.ORB,
+		Home:           cfg.Name,
+		HomeDescriptor: n.Descriptor,
+		Local:          codb.NewClient(cfg.ORB.Resolve(codbIOR)),
+		LocalCoDB:      n.CoDB,
+		Cache:          n.MDCache,
+		Options:        cfg.Options,
+		Alive:          n.Gossip.Store().Alive,
 	})
 	if err != nil {
 		return nil, err

@@ -7,13 +7,15 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cursor"
 	"repro/internal/orb"
 )
 
 // startISIPair activates an ISI servant for the RBH Oracle database and
 // returns a remote connection to it plus a handle on the servant's cursor
-// table, the client ORB and the engine's query count.
-func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTableHandle) {
+// table, the client ORB and the engine's query count. maxOpen caps the
+// servant's cursor table (0 = the cursor package default).
+func startISIPair(t *testing.T, maxOpen int) (*RemoteConn, *cursorTableHandle) {
 	t.Helper()
 	server := orb.New(orb.Options{Product: orb.VisiBroker, DisableColocation: true})
 	if err := server.Listen("127.0.0.1:0"); err != nil {
@@ -30,8 +32,8 @@ func startISIPair(t *testing.T, opts ISIServantOptions) (*RemoteConn, *cursorTab
 		t.Fatal(err)
 	}
 	counted := &countingConn{Conn: local}
-	servant, table := NewISIServantWith(counted, opts)
-	ior, err := server.Activate("ISI/RBH", servant)
+	table := cursor.NewTable(maxOpen, 0, nil)
+	ior, err := server.Activate("ISI/RBH", NewISIServantWith(counted, table))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func (c *countingConn) Query(ctx context.Context, q string) (*Result, error) {
 }
 
 func TestRemoteQueryCursorBatches(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t, 0)
 	ctx := context.Background()
 
 	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students ORDER BY name", 2)
@@ -100,7 +102,7 @@ func TestRemoteQueryCursorBatches(t *testing.T) {
 }
 
 func TestRemoteCursorCloseReleasesServer(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t, 0)
 	ctx := context.Background()
 
 	it, err := rconn.QueryCursor(ctx, "SELECT name FROM medical_students", 1)
@@ -123,7 +125,7 @@ func TestRemoteCursorCloseReleasesServer(t *testing.T) {
 }
 
 func TestRemoteQueryDelegatesThroughCursor(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{})
+	rconn, tb := startISIPair(t, 0)
 	res, err := rconn.Query(context.Background(), "SELECT name FROM medical_students WHERE year > 4 ORDER BY name")
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +146,7 @@ func TestRemoteQueryDelegatesThroughCursor(t *testing.T) {
 }
 
 func TestRemoteCursorCapFallsBack(t *testing.T) {
-	rconn, tb := startISIPair(t, ISIServantOptions{CursorMaxOpen: 1})
+	rconn, tb := startISIPair(t, 1)
 	ctx := context.Background()
 
 	// Hold the only cursor slot open.

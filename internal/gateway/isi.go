@@ -31,31 +31,21 @@ module WebFINDIT {
 };
 `)[0]
 
-// ISIServantOptions tune the servant's cursor table; the zero value selects
-// the cursor package defaults.
-type ISIServantOptions struct {
-	CursorMaxOpen int              // per-connection open-cursor cap
-	CursorIdleTTL time.Duration    // idle reap threshold
-	Clock         func() time.Time // nil = time.Now (simulations inject one)
-}
-
-// NewISIServant wraps a connection in an ISI servant with default cursor
-// options. Invocations are serialised with a mutex because gateway
-// connections, like JDBC connections, are single-threaded. open_cursor and
-// exec open a per-driver timing span ("isi.cursor:<engine>"), so the time a
-// source's engine spends on each statement is visible in the trace of the
-// query that reached it.
+// NewISIServant wraps a connection in an ISI servant over a cursor table with
+// the default cap and idle TTL. Invocations are serialised with a mutex
+// because gateway connections, like JDBC connections, are single-threaded.
+// open_cursor and exec open a per-driver timing span ("isi.cursor:<engine>"),
+// so the time a source's engine spends on each statement is visible in the
+// trace of the query that reached it.
 func NewISIServant(conn Conn) orb.Servant {
-	s, _ := NewISIServantWith(conn, ISIServantOptions{})
-	return s
+	return NewISIServantWith(conn, cursor.NewTable(0, 0, nil))
 }
 
-// NewISIServantWith is NewISIServant with cursor options; it also returns
-// the servant's cursor table so the node can publish its stats.
-func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.Table) {
+// NewISIServantWith is NewISIServant over a caller-owned cursor table, which
+// the node sizes from its config and publishes stats from.
+func NewISIServantWith(conn Conn, cursors *cursor.Table) orb.Servant {
 	var mu sync.Mutex
 	meta := conn.Meta()
-	cursors := cursor.NewTable(opts.CursorMaxOpen, opts.CursorIdleTTL, opts.Clock)
 	h := orb.NewHandler(ISIIDL)
 	h.OnCtx("open_cursor", func(ctx context.Context, args []idl.Any) (idl.Any, error) {
 		mu.Lock()
@@ -125,7 +115,7 @@ func NewISIServantWith(conn Conn, opts ISIServantOptions) (orb.Servant, *cursor.
 		defer mu.Unlock()
 		return idl.Strings(conn.Tables()), nil
 	})
-	return h, cursors
+	return h
 }
 
 // RemoteConn is a gateway connection whose engine lives behind an ISI

@@ -40,9 +40,6 @@ type Config struct {
 	// Seed makes peer-selection deterministic; 0 selects 1. Simulations
 	// derive it from the run seed so replays pick identical peers.
 	Seed int64
-	// SuspectAfter is the consecutive-failure threshold for declaring a
-	// peer dead (default 2).
-	SuspectAfter int
 	// Sleep overrides the inter-round wait in Start (virtual clocks hook in
 	// here); nil uses a real timer honoring ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration)
@@ -103,7 +100,7 @@ func New(cfg Config) *Agent {
 	}
 	return &Agent{
 		cfg:   cfg,
-		store: NewStore(self, cfg.SuspectAfter),
+		store: NewStore(self, 0), // the default failure threshold (2)
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 }

@@ -66,7 +66,21 @@ func TestMultiplexedConcurrentInvokes(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// All 256 calls shared one socket.
+	// All 256 calls shared one socket. The client pool is the deterministic
+	// witness: a cold pool lets concurrent first callers each dial, but the
+	// losers close their connections and only one is kept.
+	client.pool.mu.Lock()
+	pooled := len(client.pool.conns[ior.Addr()])
+	client.pool.mu.Unlock()
+	if pooled != 1 {
+		t.Errorf("client pool holds %d connections, want 1 multiplexed", pooled)
+	}
+	// The server drops a discarded dial only once its read loop sees EOF, so
+	// its count settles asynchronously; wait for it, with a bound.
+	deadline := time.Now().Add(5 * time.Second)
+	for server.Stats.ActiveConns.Load() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if n := server.Stats.ActiveConns.Load(); n != 1 {
 		t.Errorf("server sees %d connections, want 1 multiplexed", n)
 	}

@@ -2,6 +2,10 @@ package query
 
 import "hash/fnv"
 
+// bloomBitsPerKey sizes the semi-join Bloom prefilter: ~1% false positives,
+// which cost only wasted row transfer, never wrong answers.
+const bloomBitsPerKey = 10
+
 // bloomFilter is the compressed form of a semi-join key set: when the build
 // side yields more distinct keys than the exact-push threshold, the
 // coordinator tests probe rows against this filter first and consults the

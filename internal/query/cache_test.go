@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/idl"
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 // opCounter wraps a co-database servant and counts invocations per operation,
@@ -211,7 +212,7 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 		Name: "Alpha", Engine: core.EngineOracle,
 		InformationType: "alpha records",
 		Schema:          "CREATE TABLE r (k INT);",
-		MDCacheTTL:      30 * time.Millisecond,
+		MDCacheTTL:      query.Millis(30 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +272,9 @@ func TestRemotePeerRevalidationAfterTTL(t *testing.T) {
 }
 
 // TestPolicySettersRaceWithExecute is the -race regression test for the old
-// data race between SetFanOut/SetMemberPolicy and a concurrently running
-// Execute (both now go through atomics).
+// data race between runtime option changes (fan-out width, quorum, member
+// timeout) and a concurrently running Execute: SetOptions swaps one atomic
+// snapshot, and each statement reads only the snapshot it loaded.
 func TestPolicySettersRaceWithExecute(t *testing.T) {
 	_, a, _ := twoNodeFixture(t)
 	stop := make(chan struct{})
@@ -285,8 +287,11 @@ func TestPolicySettersRaceWithExecute(t *testing.T) {
 				return
 			default:
 			}
-			a.Processor.SetFanOut(i%4 + 1)
-			a.Processor.SetMemberPolicy(i%2+1, time.Duration(i%3)*time.Millisecond+time.Second)
+			tune(a.Processor, func(o *query.Options) {
+				o.FanOut = i%4 + 1
+				o.MinMembers = i%2 + 1
+				o.MemberTimeout = query.Millis(time.Duration(i%3)*time.Millisecond + time.Second)
+			})
 		}
 	}()
 	var wg sync.WaitGroup

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// defaultFanOut is the worker-pool width used when Config.FanOut is unset.
+// defaultFanOut is the worker-pool width used when Options.FanOut is unset.
 // Member calls are dominated by IIOP round trips (I/O, not CPU), so the pool
 // is wider than the core count.
 func defaultFanOut() int {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/orb"
+	"repro/internal/query"
 	"repro/internal/simnet"
 )
 
@@ -154,7 +155,7 @@ func TestSimChaosPartialResultDeadMember(t *testing.T) {
 func TestSimChaosSlowMemberBoundedByMemberTimeout(t *testing.T) {
 	fed := buildSimChaosFed(t, 3, orb.Options{})
 	fed.stall(2)
-	fed.home.Processor.SetMemberPolicy(1, 200*time.Millisecond)
+	tune(fed.home.Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 1, query.Millis(200*time.Millisecond) })
 	s := fed.home.NewSession()
 	start := time.Now()
 	resp, err := s.Execute(context.Background(), chaosQuery)
@@ -187,7 +188,7 @@ func TestSimChaosSlowMemberBoundedByMemberTimeout(t *testing.T) {
 func TestSimChaosQuorumFailure(t *testing.T) {
 	fed := buildSimChaosFed(t, 3, orb.Options{})
 	fed.kill(0)
-	fed.home.Processor.SetMemberPolicy(3, 0)
+	tune(fed.home.Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 3, 0 })
 	s := fed.home.NewSession()
 	_, err := s.Execute(context.Background(), chaosQuery)
 	if err == nil {
@@ -207,7 +208,7 @@ func TestSimChaosDegradedFederationQuery(t *testing.T) {
 	})
 	fed.kill(0)
 	fed.stall(1)
-	fed.home.Processor.SetMemberPolicy(1, 250*time.Millisecond)
+	tune(fed.home.Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 1, query.Millis(250*time.Millisecond) })
 	s := fed.home.NewSession()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()

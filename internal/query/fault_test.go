@@ -9,6 +9,7 @@ import (
 	"repro/internal/codb"
 	"repro/internal/core"
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 // The fault acceptance suite lives in fault_sim_test.go, running over the
@@ -99,7 +100,7 @@ func TestChaosDegradedFederationQuery(t *testing.T) {
 		{Addr: fed.addrs[0], FailConnect: 1},  // unreachable
 		{Addr: fed.addrs[1], LatencyMS: 5000}, // pathologically slow
 	}})
-	fed.home.Processor.SetMemberPolicy(1, 250*time.Millisecond)
+	tune(fed.home.Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 1, query.Millis(250*time.Millisecond) })
 	s := fed.home.NewSession()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()

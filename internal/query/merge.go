@@ -69,6 +69,7 @@ func isCapabilityRejection(err error) bool {
 // (which hands it to the caller behind a Rows). Not safe for concurrent use.
 type mergeStream struct {
 	sess     *Session
+	opts     *Options // the opening statement's snapshot
 	plan     *queryPlan
 	chans    []chan []idl.Any
 	statuses []MemberStatus
@@ -125,6 +126,7 @@ func (s *Session) newMergeStreamFiltered(ctx context.Context, plan *queryPlan, l
 	n := len(plan.Members)
 	ms := &mergeStream{
 		sess:      s,
+		opts:      s.opts,
 		plan:      plan,
 		chans:     make([]chan []idl.Any, n),
 		statuses:  make([]MemberStatus, n),
@@ -140,16 +142,15 @@ func (s *Session) newMergeStreamFiltered(ctx context.Context, plan *queryPlan, l
 		ms.statuses[i] = MemberStatus{Member: plan.Members[i].D.Name, Ref: plan.Members[i].D.ISIRef,
 			ErrClass: "skipped", Err: "not dispatched"}
 	}
-	buf := s.p.mergeBufRows()
 	for i := range ms.chans {
-		ms.chans[i] = make(chan []idl.Any, buf)
+		ms.chans[i] = make(chan []idl.Any, ms.opts.MergeBufRows)
 	}
 	mergeCtx, cancel := context.WithCancelCause(ctx)
 	ms.cancel = cancel
 	dispatched := make([]atomic.Bool, n)
 	go func() {
 		defer close(ms.fanDone)
-		fanOutCtx(mergeCtx, n, s.p.fanOutWidth(), func(i int) {
+		fanOutCtx(mergeCtx, n, ms.opts.FanOut, func(i int) {
 			dispatched[i].Store(true)
 			defer close(ms.chans[i])
 			s.runMember(mergeCtx, ms, i)
@@ -255,7 +256,7 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 	if mp.Exec.LimitPushed {
 		msp.SetAttr("limit", "pushed")
 	}
-	if mt := s.p.memberTimeout(); mt > 0 {
+	if mt := time.Duration(ms.opts.MemberTimeout); mt > 0 {
 		var cancel context.CancelFunc
 		mctx, cancel = context.WithTimeout(mctx, mt)
 		defer cancel()
@@ -292,7 +293,7 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 		msp.SetAttr("semijoin", "keys pushed")
 	}
 	var it gateway.RowIter
-	it, err = conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
+	it, err = conn.QueryCursor(mctx, ex.Native, ms.opts.MergeBufRows)
 	if err != nil && (ex.Pushed > 0 || ex.LimitPushed || ex.InPushed) && isCapabilityRejection(err) && mctx.Err() == nil {
 		s.tracef("data", "member %s rejected pushed fragment (%v); retrying with full compensation", mp.D.Name, err)
 		msp.SetAttr("fallback", "bare")
@@ -301,7 +302,7 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 			ms.sjFallbacks.Add(1)
 		}
 		ex = &mp.Bare
-		it, err = conn.QueryCursor(mctx, ex.Native, s.p.mergeBufRows())
+		it, err = conn.QueryCursor(mctx, ex.Native, ms.opts.MergeBufRows)
 	}
 	if err != nil {
 		err = fmt.Errorf("query: %s: %w", mp.D.Name, err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oodb"
 	"repro/internal/orb"
+	"repro/internal/query"
 )
 
 // planFixtureRows is how many rows each planner-fixture node holds.
@@ -68,6 +69,7 @@ func planFederation(tb testing.TB, nodes int, nc func(i int, c *core.NodeConfig)
 				return nil
 			}
 		}
+		cfg.FanOut = 1 // serial fan-out: deterministic row movement
 		if nc != nil {
 			nc(i, &cfg)
 		}
@@ -75,7 +77,6 @@ func planFederation(tb testing.TB, nodes int, nc func(i int, c *core.NodeConfig)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		n.Processor.SetFanOut(1) // serial fan-out: deterministic row movement
 		built = append(built, n)
 		names = append(names, cfg.Name)
 	}
@@ -160,7 +161,7 @@ func TestCoalitionFallbackOnAdvertisedCapability(t *testing.T) {
 	}
 }
 
-func TestSetPushdownRuntimeToggle(t *testing.T) {
+func TestPushdownRuntimeToggle(t *testing.T) {
 	_, nodes := planFederation(t, 3, nil)
 	s := nodes[0].NewSession()
 	ctx := context.Background()
@@ -170,7 +171,7 @@ func TestSetPushdownRuntimeToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[0].Processor.SetPushdown(false)
+	tune(nodes[0].Processor, func(o *query.Options) { o.DisablePushdown = true })
 	off, err := s.Execute(ctx, stmt)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +216,7 @@ func BenchmarkFederatedPushdown(b *testing.B) {
 	}{{"on", true}, {"off", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			_, nodes := planFederation(b, 3, nil)
-			nodes[0].Processor.SetPushdown(mode.on)
+			tune(nodes[0].Processor, func(o *query.Options) { o.DisablePushdown = !mode.on })
 			s := nodes[0].NewSession()
 			ctx := context.Background()
 			stmt := `V(R.K, (R.V >= 2000)) On Coalition C;`

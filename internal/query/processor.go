@@ -117,63 +117,13 @@ type Config struct {
 	LocalCoDB *codb.CoDatabase
 	// Gateway opens DSN connections for sources without an ISI reference.
 	Gateway *gateway.Manager
-	// FanOut bounds the worker pool used to contact coalition members in
-	// parallel (peer discovery, coalition query decomposition, membership
-	// maintenance). 0 selects the default width (2×GOMAXPROCS, min 8);
-	// 1 forces the serial pre-parallel behaviour.
-	FanOut int
-	// MinMembers is the quorum for coalition query decomposition: the
-	// statement succeeds (possibly partially) when at least this many members
-	// answer, and fails otherwise. 0 means 1 — any surviving member yields a
-	// partial result.
-	MinMembers int
-	// MemberTimeout bounds each member's sub-call (and each discovery peer
-	// probe) so one slow member cannot hold the whole fan-out. 0 leaves only
-	// the caller's context deadline and the ORB's CallTimeout.
-	MemberTimeout time.Duration
 	// Cache, when set, caches federation metadata (coalition member lists,
 	// source descriptors, peer probe results) across statements and
 	// sessions. Data queries are never cached. nil disables caching.
 	Cache *mdcache.Cache
-	// DisablePushdown turns predicate/limit pushdown off: every member runs
-	// the bare fragment and the coordinator compensates for all predicates
-	// locally. Both modes return identical answers (the differential tests
-	// in internal/simtest run the same workload both ways); pushdown only
-	// moves where predicates are evaluated and how many rows cross the wire.
-	DisablePushdown bool
-	// MergeBufRows bounds each member's streaming-merge channel: how many
-	// rows a member may run ahead of the coordinator before backpressure.
-	// It is also the cursor batch size member sub-queries fetch with, so
-	// coordinator buffering for a coalition scan is bounded by
-	// members x 2 x MergeBufRows rows regardless of result size.
-	// 0 selects the default (64).
-	MergeBufRows int
-	// DisableSemiJoin turns semi-join key pushdown off: join statements still
-	// execute (the coordinator always applies the exact key filter), but no
-	// key set is shipped to probe members and no Bloom filter is built. Both
-	// modes return identical answers (the differential tests in
-	// internal/simtest run the same workload both ways); the pushdown only
-	// changes how many probe-side rows cross the wire.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit is the largest build-side key set pushed to probe
-	// members as a literal IN list; above it the coordinator compresses the
-	// set into a Bloom prefilter instead. 0 selects the default (64).
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits sizes the Bloom prefilter, in bits per build-side
-	// key (~1% false positives at 10; false positives cost only wasted row
-	// transfer, never wrong answers). 0 selects the default (10).
-	SemiJoinBloomBits int
-	// SubCoalitionSize is the coalition membership size above which stage-3
-	// discovery routes through sub-coalition representatives instead of
-	// probing every member directly: coalitions larger than this shard into
-	// windows of at most this many members, and one relay_probe call per
-	// shard replaces the per-member fan-out. Coalitions at or below the
-	// threshold keep the flat fan-out (the paper's small-coalition model is
-	// untouched). 0 selects the default (32); negative disables hierarchical
-	// routing entirely. Both modes return identical answers — the
-	// differential tests in internal/simtest run the same workload both ways;
-	// routing only changes how many RPCs the coordinator itself issues.
-	SubCoalitionSize int
+	// Options are the planner and fan-out knobs the processor starts with;
+	// Processor.SetOptions replaces them at runtime.
+	Options
 	// Alive reports whether a peer node is believed reachable — the gossip
 	// layer's failure detector, consulted by representative election so a
 	// partitioned representative is skipped instead of timed out against.
@@ -234,25 +184,10 @@ func (c *plannerCounters) raisePeak(v int64) {
 type Processor struct {
 	cfg Config
 
-	// The fan-out and degradation policy are runtime-tunable (SetFanOut,
-	// SetMemberPolicy) while sessions execute concurrently, so they live in
-	// atomics rather than in cfg.
-	fanOutN    atomic.Int32
-	minMembers atomic.Int32
-	memberTO   atomic.Int64 // nanoseconds
-	// Pushdown is likewise runtime-tunable (SetPushdown; differential tests
-	// flip modes on live processors).
-	pushdownOff atomic.Bool
-	mergeBuf    atomic.Int32
-	// Semi-join pushdown mode and thresholds (SetSemiJoin; the differential
-	// tests flip the mode on live processors like the other axes).
-	semijoinOff atomic.Bool
-	sjKeyLimit  atomic.Int32
-	sjBloomBits atomic.Int32
-	// Hierarchical-routing threshold (SetSubCoalitionSize; the differential
-	// tests flip it on live processors like the other axes). Stored with the
-	// Config encoding: 0 = default, negative = disabled.
-	subcoalN atomic.Int32
+	// opts is the live planner and fan-out policy (SetOptions). Each
+	// statement loads it once when it starts and runs under that snapshot,
+	// so a concurrent change never splits one statement across two modes.
+	opts atomic.Pointer[Options]
 
 	stats plannerCounters
 
@@ -275,35 +210,20 @@ func New(cfg Config) (*Processor, error) {
 		return nil, fmt.Errorf("query: Config needs ORB, Local and Home")
 	}
 	p := &Processor{cfg: cfg, clients: make(map[string]*codb.Client)}
-	p.fanOutN.Store(int32(cfg.FanOut))
-	p.minMembers.Store(int32(cfg.MinMembers))
-	p.memberTO.Store(int64(cfg.MemberTimeout))
-	p.pushdownOff.Store(cfg.DisablePushdown)
-	p.mergeBuf.Store(int32(cfg.MergeBufRows))
-	p.semijoinOff.Store(cfg.DisableSemiJoin)
-	p.sjKeyLimit.Store(int32(cfg.SemiJoinKeyLimit))
-	p.sjBloomBits.Store(int32(cfg.SemiJoinBloomBits))
-	p.subcoalN.Store(int32(cfg.SubCoalitionSize))
+	p.SetOptions(cfg.Options)
 	return p, nil
 }
 
-// SetSubCoalitionSize adjusts the hierarchical-routing threshold at runtime
-// (see Config.SubCoalitionSize). Safe to call concurrently with running
-// sessions; in-flight statements keep the mode they started under.
-func (p *Processor) SetSubCoalitionSize(n int) { p.subcoalN.Store(int32(n)) }
-
-// subCoalitionSize returns the effective shard size: 0 when hierarchical
-// routing is disabled.
-func (p *Processor) subCoalitionSize() int {
-	n := p.subcoalN.Load()
-	if n < 0 {
-		return 0
-	}
-	if n == 0 {
-		return 32
-	}
-	return int(n)
+// SetOptions replaces the planner and fan-out options, resolving their
+// defaults. Safe to call concurrently with running sessions: statements
+// already running keep the snapshot they started under.
+func (p *Processor) SetOptions(o Options) {
+	o = o.withDefaults()
+	p.opts.Store(&o)
 }
+
+// Options returns the current options, defaults resolved.
+func (p *Processor) Options() Options { return *p.opts.Load() }
 
 // alive consults the gossip failure detector; without one every peer is
 // presumed reachable.
@@ -312,35 +232,6 @@ func (p *Processor) alive(node string) bool {
 		return true
 	}
 	return p.cfg.Alive(node)
-}
-
-// SetPushdown flips predicate/limit pushdown at runtime (see
-// Config.DisablePushdown). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they planned under.
-func (p *Processor) SetPushdown(on bool) { p.pushdownOff.Store(!on) }
-
-// SetSemiJoin flips semi-join key pushdown at runtime (see
-// Config.DisableSemiJoin). Safe to call concurrently with running sessions;
-// in-flight statements keep the mode they started under.
-func (p *Processor) SetSemiJoin(on bool) { p.semijoinOff.Store(!on) }
-
-// semiJoinOn reports the current semi-join pushdown mode.
-func (p *Processor) semiJoinOn() bool { return !p.semijoinOff.Load() }
-
-// semiJoinKeyLimit returns the exact-push/Bloom crossover key count.
-func (p *Processor) semiJoinKeyLimit() int {
-	if n := p.sjKeyLimit.Load(); n > 0 {
-		return int(n)
-	}
-	return 64
-}
-
-// semiJoinBloomBits returns the Bloom prefilter size in bits per key.
-func (p *Processor) semiJoinBloomBits() int {
-	if n := p.sjBloomBits.Load(); n > 0 {
-		return int(n)
-	}
-	return 10
 }
 
 // PlannerStats snapshots the planner and streaming-merge counters.
@@ -368,35 +259,6 @@ func (p *Processor) PlannerStats() PlannerStats {
 	}
 }
 
-// pushdownOn reports the current pushdown mode.
-func (p *Processor) pushdownOn() bool { return !p.pushdownOff.Load() }
-
-// mergeBufRows returns the per-member streaming-merge channel capacity.
-func (p *Processor) mergeBufRows() int {
-	if n := p.mergeBuf.Load(); n > 0 {
-		return int(n)
-	}
-	return 64
-}
-
-// SetFanOut adjusts the member fan-out width (see Config.FanOut). It is safe
-// to call concurrently with running sessions; in-flight statements may use
-// either width. Benchmarks use it to compare serial and parallel
-// decomposition.
-func (p *Processor) SetFanOut(n int) { p.fanOutN.Store(int32(n)) }
-
-// SetMemberPolicy adjusts the degradation policy (see Config.MinMembers and
-// Config.MemberTimeout). It is safe to call concurrently with running
-// sessions; in-flight statements may observe either policy.
-func (p *Processor) SetMemberPolicy(minMembers int, memberTimeout time.Duration) {
-	p.minMembers.Store(int32(minMembers))
-	p.memberTO.Store(int64(memberTimeout))
-}
-
-func (p *Processor) fanOutWidth() int             { return int(p.fanOutN.Load()) }
-func (p *Processor) minMembersQuorum() int        { return int(p.minMembers.Load()) }
-func (p *Processor) memberTimeout() time.Duration { return time.Duration(p.memberTO.Load()) }
-
 // Session is one user's interactive context: the coalition they are
 // connected to and the source they last selected. Sessions are not safe for
 // concurrent use by multiple callers, but statements internally fan out to
@@ -410,14 +272,18 @@ type Session struct {
 	Source string
 
 	codbClient *codb.Client // co-database answering for the current coalition
-	traceMu    sync.Mutex
-	trace      []TraceEvent
-	stmtStart  time.Time // start of the running statement (guards under traceMu)
+	// opts is the options snapshot of the running statement, loaded when it
+	// starts (markStmtStart). Only the statement's own goroutines read it;
+	// a merge stream that outlives its statement keeps its own copy.
+	opts      *Options
+	traceMu   sync.Mutex
+	trace     []TraceEvent
+	stmtStart time.Time // start of the running statement (guards under traceMu)
 }
 
 // NewSession opens a session rooted at the node's local co-database.
 func (p *Processor) NewSession() *Session {
-	return &Session{p: p, codbClient: p.cfg.Local}
+	return &Session{p: p, codbClient: p.cfg.Local, opts: p.opts.Load()}
 }
 
 // TraceEvent is one entry of a session's layer trace: which layer spoke,
@@ -464,8 +330,10 @@ func (s *Session) traceMsg(layer, msg string) {
 	s.trace = append(s.trace, TraceEvent{Layer: layer, Msg: msg, Elapsed: elapsed})
 }
 
-// markStmtStart anchors TraceEvent.Elapsed for the statement about to run.
+// markStmtStart anchors TraceEvent.Elapsed for the statement about to run
+// and loads the options snapshot it runs under.
 func (s *Session) markStmtStart() {
+	s.opts = s.p.opts.Load()
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	s.stmtStart = time.Now()
@@ -737,14 +605,15 @@ func (p *Processor) resolveTopic(ctx context.Context, s *Session, topic string) 
 	// elected representative; whatever it cannot cover (small coalitions,
 	// shards whose every relay candidate failed) stays in pending and takes
 	// the flat fan-out below.
-	if size := p.subCoalitionSize(); size > 0 && len(pending) > 0 {
-		pending = p.relayRoute(st3Ctx, s, topic, size, groupOf, probes, statuses, pending)
+	opts := s.opts
+	if opts.SubCoalitionSize > 0 && len(pending) > 0 {
+		pending = p.relayRoute(st3Ctx, s, topic, groupOf, probes, statuses, pending)
 	}
-	fanOutCtx(st3Ctx, len(pending), p.fanOutWidth(), func(j int) {
+	fanOutCtx(st3Ctx, len(pending), opts.FanOut, func(j int) {
 		pr := &probes[pending[j]]
 		st := &statuses[pending[j]]
 		probeCtx, psp := trace.StartSpan(st3Ctx, "query.probe:"+pr.name)
-		if mt := p.memberTimeout(); mt > 0 {
+		if mt := time.Duration(opts.MemberTimeout); mt > 0 {
 			var cancel context.CancelFunc
 			probeCtx, cancel = context.WithTimeout(probeCtx, mt)
 			defer cancel()
@@ -1177,7 +1046,7 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 	if fn == nil {
 		return nil, fmt.Errorf("query: source %s exports no function %s", d.Name, q.Function)
 	}
-	mp, err := buildMemberPlan(d, fn, q, s.p.pushdownOn())
+	mp, err := buildMemberPlan(d, fn, q, !s.opts.DisablePushdown)
 	if err != nil {
 		return nil, err
 	}
@@ -1258,7 +1127,7 @@ func compensateSingle(res *gateway.Result, ex *fragmentExec, fn *codb.ExportedFu
 // member's outcome — attempts, latency, error class — lands in
 // Response.Members; Response.Partial marks real degradation (members cut
 // off by a satisfied LIMIT report ErrClass "limit" and do not count). The
-// statement only fails when fewer than Config.MinMembers members answer and
+// statement only fails when fewer than Options.MinMembers members answer and
 // the LIMIT was not satisfied.
 func (s *Session) execCoalitionFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Response, error) {
 	rows, err := s.streamCoalition(ctx, q)
@@ -1332,7 +1201,8 @@ func (s *Session) execCreateLink(q *wtl.CreateLink) (*Response, error) {
 // memberCoDBs opens the co-database clients of a coalition's members as
 // known to the entry client, deduplicated by reference. The clients are
 // resolved through a bounded worker pool and returned in member order.
-func (p *Processor) memberCoDBs(ctx context.Context, entry *codb.Client, coalition string) ([]*codb.Client, error) {
+func (s *Session) memberCoDBs(ctx context.Context, entry *codb.Client, coalition string) ([]*codb.Client, error) {
+	p := s.p
 	members, _, err := p.cachedInstances(ctx, entry, coalition)
 	if err != nil {
 		return nil, err
@@ -1347,7 +1217,7 @@ func (p *Processor) memberCoDBs(ctx context.Context, entry *codb.Client, coaliti
 		refs = append(refs, m.CoDBRef)
 	}
 	clients := make([]*codb.Client, len(refs))
-	fanOut(len(refs), p.fanOutWidth(), func(i int) {
+	fanOut(len(refs), s.opts.FanOut, func(i int) {
 		if c, err := p.codbByRef(refs[i]); err == nil {
 			clients[i] = c
 		}
@@ -1384,7 +1254,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 			return nil, fmt.Errorf("query: %s is already a member of %s", s.p.cfg.Home, q.Coalition)
 		}
 	}
-	peers, err := s.p.memberCoDBs(ctx, entry, q.Coalition)
+	peers, err := s.memberCoDBs(ctx, entry, q.Coalition)
 	if err != nil {
 		return nil, err
 	}
@@ -1395,7 +1265,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 	// back (best effort) and a failed join leaves no peer knowing the
 	// newcomer.
 	advErrs := make([]error, len(peers))
-	fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
+	fanOut(len(peers), s.opts.FanOut, func(i int) {
 		s.tracef("communication", "advertising %s into a member co-database", s.p.cfg.Home)
 		advErrs[i] = peers[i].Advertise(ctx, q.Coalition, home)
 	})
@@ -1407,7 +1277,7 @@ func (s *Session) execJoin(ctx context.Context, q *wtl.JoinCoalition) (*Response
 		}
 	}
 	if joinErr != nil {
-		fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
+		fanOut(len(peers), s.opts.FanOut, func(i int) {
 			if advErrs[i] == nil {
 				peers[i].RemoveMember(ctx, q.Coalition, s.p.cfg.Home)
 			}
@@ -1445,12 +1315,12 @@ func (s *Session) execLeave(ctx context.Context, q *wtl.LeaveCoalition) (*Respon
 	if err != nil {
 		return nil, err
 	}
-	peers, err := s.p.memberCoDBs(ctx, entry, q.Coalition)
+	peers, err := s.memberCoDBs(ctx, entry, q.Coalition)
 	if err != nil {
 		return nil, err
 	}
 	removedAt := make([]bool, len(peers))
-	fanOut(len(peers), s.p.fanOutWidth(), func(i int) {
+	fanOut(len(peers), s.opts.FanOut, func(i int) {
 		if err := peers[i].RemoveMember(ctx, q.Coalition, s.p.cfg.Home); err == nil {
 			removedAt[i] = true
 		}

@@ -12,6 +12,13 @@ import (
 	"repro/internal/wtl"
 )
 
+// tune applies f to a processor's live options.
+func tune(p *query.Processor, f func(*query.Options)) {
+	o := p.Options()
+	f(&o)
+	p.SetOptions(o)
+}
+
 func TestWrapperSQLTranslation(t *testing.T) {
 	fn := &codb.ExportedFunction{
 		Name: "Funding", Returns: "real",

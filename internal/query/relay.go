@@ -39,7 +39,8 @@ type peerProbe struct {
 // answered and returns the indices still pending — small-coalition members,
 // plus shards whose every relay candidate failed (those fall back to the
 // coordinator's direct fan-out, so no member is ever silently dropped).
-func (p *Processor) relayRoute(ctx context.Context, s *Session, topic string, size int, groupOf []int, probes []peerProbe, statuses []MemberStatus, pending []int) []int {
+func (p *Processor) relayRoute(ctx context.Context, s *Session, topic string, groupOf []int, probes []peerProbe, statuses []MemberStatus, pending []int) []int {
+	size := s.opts.SubCoalitionSize
 	// Partition the pending indices by the coalition group they entered
 	// through, preserving flat order within each group.
 	byGroup := map[int][]int{}
@@ -76,7 +77,7 @@ func (p *Processor) relayRoute(ctx context.Context, s *Session, topic string, si
 	// Shards relay concurrently; each shard's relay chain runs serially
 	// (representative, then failover candidates).
 	failed := make([][]int, len(shards))
-	fanOutCtx(ctx, len(shards), p.fanOutWidth(), func(si int) {
+	fanOutCtx(ctx, len(shards), s.opts.FanOut, func(si int) {
 		shard := shards[si]
 		if !p.relayShard(ctx, s, topic, shard, probes, statuses) {
 			failed[si] = shard
@@ -116,7 +117,7 @@ func (p *Processor) relayShard(ctx context.Context, s *Session, topic string, sh
 	for _, idx := range order {
 		rep := &probes[idx]
 		relayCtx, sp := trace.StartSpan(ctx, "query.relay:"+rep.name)
-		if mt := p.memberTimeout(); mt > 0 {
+		if mt := time.Duration(s.opts.MemberTimeout); mt > 0 {
 			// The relay covers a whole shard of member probes, so its budget
 			// scales with the shard instead of a single member's timeout.
 			var cancel context.CancelFunc
@@ -170,7 +171,8 @@ func (*relayShapeError) Error() string { return "query: relay reply does not mat
 // codb.ServantOptions.Relay.
 func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb.RelayTarget) []codb.RelayResult {
 	results := make([]codb.RelayResult, len(members))
-	fanOutCtx(ctx, len(members), p.fanOutWidth(), func(i int) {
+	opts := p.opts.Load()
+	fanOutCtx(ctx, len(members), opts.FanOut, func(i int) {
 		m := members[i]
 		results[i].Name = m.Name
 		client, err := p.codbByRef(m.Ref)
@@ -179,7 +181,7 @@ func (p *Processor) RelayProbe(ctx context.Context, topic string, members []codb
 			return
 		}
 		probeCtx, sp := trace.StartSpan(ctx, "query.relayprobe:"+m.Name)
-		if mt := p.memberTimeout(); mt > 0 {
+		if mt := time.Duration(opts.MemberTimeout); mt > 0 {
 			var cancel context.CancelFunc
 			probeCtx, cancel = context.WithTimeout(probeCtx, mt)
 			defer cancel()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gossip"
+	"repro/internal/query"
 )
 
 // TestHierarchicalDiscoveryEquivalence builds the planner fixture twice and
@@ -15,8 +16,8 @@ import (
 func TestHierarchicalDiscoveryEquivalence(t *testing.T) {
 	_, hier := planFederation(t, 5, nil)
 	_, flat := planFederation(t, 5, nil)
-	hier[0].Processor.SetSubCoalitionSize(2)
-	flat[0].Processor.SetSubCoalitionSize(-1)
+	tune(hier[0].Processor, func(o *query.Options) { o.SubCoalitionSize = 2 })
+	tune(flat[0].Processor, func(o *query.Options) { o.SubCoalitionSize = -1 })
 	ctx := context.Background()
 
 	rh, err := hier[0].NewSession().Execute(ctx, "Find Coalitions With Information nothinganyoneknows;")
@@ -55,7 +56,7 @@ func TestHierarchicalDiscoveryEquivalence(t *testing.T) {
 // still be probed exactly once.
 func TestHierarchicalRelayFailover(t *testing.T) {
 	_, nodes := planFederation(t, 5, nil)
-	nodes[0].Processor.SetSubCoalitionSize(2)
+	tune(nodes[0].Processor, func(o *query.Options) { o.SubCoalitionSize = 2 })
 	ctx := context.Background()
 
 	// S1 is the first member of shard [S1 S2] — the elected representative

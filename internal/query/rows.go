@@ -111,7 +111,7 @@ func (s *Session) resolveCoalitionPlan(ctx context.Context, q *wtl.FuncQuery) (*
 	if err != nil {
 		return nil, err
 	}
-	plan, out, err := s.p.cachedPlan(ctx, entry, q, s.p.pushdownOn())
+	plan, out, err := s.p.cachedPlan(ctx, entry, q, !s.opts.DisablePushdown)
 	if err != nil {
 		return nil, err
 	}
@@ -312,10 +312,7 @@ func (r *Rows) finishStream(evaluate bool) {
 		return
 	}
 	answered, _, firstErr := r.tally()
-	quorum := s.p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
+	quorum := ms.opts.MinMembers
 	if ms.stop < 0 && answered < quorum {
 		if firstErr == nil {
 			firstErr = errors.New("no member answered")
@@ -379,10 +376,7 @@ func (r *Rows) drainResponse(ctx context.Context) (*Response, error) {
 		s.p.stats.earlyTerminations.Add(1)
 	}
 	answered, degraded, firstErr := r.tally()
-	quorum := s.p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
+	quorum := ms.opts.MinMembers
 	if ms.stop < 0 && answered < quorum {
 		if firstErr == nil {
 			firstErr = ctx.Err()

@@ -143,11 +143,11 @@ func (s *Session) semiJoinPushdown(plan *queryPlan, keys map[string]idl.Any) (*s
 	for k := range keys {
 		filter.exact[k] = struct{}{}
 	}
-	if !s.p.semiJoinOn() || len(keys) == 0 {
+	if s.opts.DisableSemiJoin || len(keys) == 0 {
 		return filter, nil
 	}
-	if len(keys) > s.p.semiJoinKeyLimit() {
-		bf := newBloomFilter(len(keys), s.p.semiJoinBloomBits())
+	if len(keys) > s.opts.SemiJoinKeyLimit {
+		bf := newBloomFilter(len(keys), bloomBitsPerKey)
 		for k := range filter.exact {
 			bf.Add(k)
 		}
@@ -224,10 +224,7 @@ func (s *Session) drainSide(ctx context.Context, plan *queryPlan, filter *semiJo
 			}
 		}
 	}
-	quorum := p.minMembersQuorum()
-	if quorum <= 0 {
-		quorum = 1
-	}
+	quorum := ms.opts.MinMembers
 	if answered < quorum {
 		if firstErr == nil {
 			firstErr = errors.New("no member answered")

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codb"
 	"repro/internal/core"
+	"repro/internal/query"
 )
 
 // codbFunctionK is V's inverse (string keys out, int values in), added where
@@ -76,7 +77,7 @@ func TestSemiJoinRuntimeToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[0].Processor.SetSemiJoin(false)
+	tune(nodes[0].Processor, func(o *query.Options) { o.DisableSemiJoin = true })
 	off, err := s.Execute(ctx, semiJoinStmt)
 	if err != nil {
 		t.Fatal(err)
@@ -249,11 +250,11 @@ func TestSemiJoinAbortReleasesEverything(t *testing.T) {
 
 	// Build-side failure: an unreachable quorum fails the statement before
 	// the probe starts, and the build fan-out must still unwind cleanly.
-	nodes[0].Processor.SetMemberPolicy(4, 0)
+	tune(nodes[0].Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 4, 0 })
 	if _, err := s.Stream(context.Background(), stmt); err == nil {
 		t.Fatal("semi-join succeeded with an unreachable build quorum")
 	}
-	nodes[0].Processor.SetMemberPolicy(1, 0)
+	tune(nodes[0].Processor, func(o *query.Options) { o.MinMembers, o.MemberTimeout = 1, 0 })
 	if !waitFor(t, 2*time.Second, func() bool { return cursorsOpen() == 0 }) {
 		t.Fatalf("build-side failure left %d cursor(s) open", cursorsOpen())
 	}
@@ -285,7 +286,7 @@ func BenchmarkFederatedSemiJoin(b *testing.B) {
 				}
 				c.Schema = sb.String()
 			})
-			nodes[0].Processor.SetSemiJoin(mode.on)
+			tune(nodes[0].Processor, func(o *query.Options) { o.DisableSemiJoin = !mode.on })
 			s := nodes[0].NewSession()
 			ctx := context.Background()
 

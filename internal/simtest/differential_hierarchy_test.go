@@ -35,10 +35,10 @@ var hierFindWorkload = []string{
 func buildHierFed(t *testing.T, seed int64, sub int) *Fed {
 	t.Helper()
 	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		SubCoalitionSize: sub,
+		Seed:        seed,
+		Hetero:      true,
+		RowsPerNode: diffRows,
+		Options:     query.Options{SubCoalitionSize: sub},
 	})
 	if err != nil {
 		t.Fatalf("build (sub=%d): %v\n%s", sub, err, ReplayLine(seed))

@@ -31,10 +31,10 @@ const (
 func buildStreamFed(t *testing.T, seed int64, batch int) *Fed {
 	t.Helper()
 	fed, err := Build(Config{
-		Seed:         seed,
-		Hetero:       true,
-		RowsPerNode:  diffRows,
-		MergeBufRows: batch,
+		Seed:        seed,
+		Hetero:      true,
+		RowsPerNode: diffRows,
+		Options:     query.Options{MergeBufRows: batch},
 	})
 	if err != nil {
 		t.Fatalf("build (batch %d): %v\n%s", batch, err, ReplayLine(seed))

@@ -73,10 +73,10 @@ func outcomeOf(resp *query.Response) diffOutcome {
 func buildDiffFed(t *testing.T, seed int64, disablePushdown bool) *Fed {
 	t.Helper()
 	fed, err := Build(Config{
-		Seed:            seed,
-		Hetero:          true,
-		RowsPerNode:     diffRows,
-		DisablePushdown: disablePushdown,
+		Seed:        seed,
+		Hetero:      true,
+		RowsPerNode: diffRows,
+		Options:     query.Options{DisablePushdown: disablePushdown},
 	})
 	if err != nil {
 		t.Fatalf("build (pushdown off=%v): %v\n%s", disablePushdown, err, ReplayLine(seed))

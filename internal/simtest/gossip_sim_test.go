@@ -115,7 +115,10 @@ func TestGossipConvergence300(t *testing.T) {
 	// Phase 3 — the representative tier at scale: with an 8-member coalition
 	// and a shard size of 4, a discovery sweep from node 0 must route through
 	// shard representatives rather than probing each peer directly.
-	fed.Nodes[0].Core.Processor.SetSubCoalitionSize(4)
+	p := fed.Nodes[0].Core.Processor
+	o := p.Options()
+	o.SubCoalitionSize = 4
+	p.SetOptions(o)
 	resp, err := fed.Nodes[0].Session.Execute(ctx, "Find Coalitions With Information zzzscale;")
 	if err != nil {
 		t.Fatal(err)
@@ -245,11 +248,11 @@ func TestGossipRepresentativeReelection(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			build := func(sub int) *Fed {
 				fed, err := Build(Config{
-					Seed:             seed,
-					Nodes:            6,
-					CoalitionSize:    6, // one coalition spanning everyone
-					NoBaseCoalition:  true,
-					SubCoalitionSize: sub,
+					Seed:            seed,
+					Nodes:           6,
+					CoalitionSize:   6, // one coalition spanning everyone
+					NoBaseCoalition: true,
+					Options:         query.Options{SubCoalitionSize: sub},
 				})
 				if err != nil {
 					t.Fatalf("build (sub=%d): %v\n%s", sub, err, ReplayLine(seed))

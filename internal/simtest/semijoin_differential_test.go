@@ -44,11 +44,10 @@ var semiJoinWorkload = []string{
 func buildSemiJoinFed(t *testing.T, seed int64, disableSemiJoin bool, keyLimit int) *Fed {
 	t.Helper()
 	fed, err := Build(Config{
-		Seed:             seed,
-		Hetero:           true,
-		RowsPerNode:      diffRows,
-		DisableSemiJoin:  disableSemiJoin,
-		SemiJoinKeyLimit: keyLimit,
+		Seed:        seed,
+		Hetero:      true,
+		RowsPerNode: diffRows,
+		Options:     query.Options{DisableSemiJoin: disableSemiJoin, SemiJoinKeyLimit: keyLimit},
 	})
 	if err != nil {
 		t.Fatalf("build (semijoin off=%v): %v\n%s", disableSemiJoin, err, ReplayLine(seed))

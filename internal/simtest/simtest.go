@@ -59,28 +59,12 @@ type Config struct {
 	// ('k<rr>', i*1000+r), giving pushdown queries selective predicates,
 	// LIKE-able keys and enough volume for LIMIT to bite.
 	RowsPerNode int
-	// DisablePushdown builds every node with predicate/limit pushdown off.
-	// The differential suite builds one federation per mode from the same
-	// seed and requires identical answers.
-	DisablePushdown bool
-	// MergeBufRows overrides each node's merge window / cursor batch size
-	// (0 = default 64). Small values force multi-fetch cursor traffic even on
-	// small fixtures; values at least the largest member result make every
-	// member answer in its open reply. The streaming differential suite
-	// builds one federation per batch size from the same seed and requires
-	// identical answers.
-	MergeBufRows int
-	// DisableSemiJoin builds every node with semi-join key pushdown off:
-	// join statements run with the exact coordinator filter only. The
-	// semi-join differential suite builds one federation per mode from the
-	// same seed and requires identical answers.
-	DisableSemiJoin bool
-	// SemiJoinKeyLimit overrides the exact-IN/Bloom crossover (0 = default
-	// 64). Setting it to 1 forces the Bloom path on any multi-key build side.
-	SemiJoinKeyLimit int
-	// SemiJoinBloomBits overrides the Bloom prefilter size in bits per key
-	// (0 = default 10).
-	SemiJoinBloomBits int
+	// Options are every node's planner knobs (query.Options). The
+	// differential suites build one federation per mode from the same seed
+	// (pushdown on/off, MergeBufRows batch sizes, semi-join on/off and key
+	// limits, SubCoalitionSize relaying) and require identical answers.
+	// FanOut is always 1: serial fan-out keeps the event order deterministic.
+	query.Options
 	// CoalitionSize switches topology generation from the legacy coin-flip
 	// draw to windowed mode: coalitions become overlapping windows of this
 	// many members laid over a seeded permutation ring, so membership forms
@@ -98,15 +82,6 @@ type Config struct {
 	// GossipFanout is how many peers each node exchanges digests with per
 	// simulated gossip round (0 = agent default 3).
 	GossipFanout int
-	// GossipSuspectAfter is how many consecutive failed exchanges mark a
-	// peer dead in the failure detector (0 = default 2).
-	GossipSuspectAfter int
-	// SubCoalitionSize sets each node's hierarchical-discovery threshold:
-	// stage-3 coalition groups larger than this are probed through shard
-	// representatives instead of directly (0 = query default 32, negative
-	// disables relaying). The differential suite builds one federation per
-	// mode from the same seed and requires identical answers.
-	SubCoalitionSize int
 }
 
 // Node is one federation participant: its simulated host, ORB and core node.
@@ -192,20 +167,15 @@ func Build(cfg Config) (*Fed, error) {
 					Table: "r", ResultColumn: "k", ArgColumn: "v",
 				}},
 			}},
-			Clock:             fed.Clock.Now,
-			MDCacheTTL:        cfg.MDCacheTTL,
-			DisablePushdown:   cfg.DisablePushdown,
-			MergeBufRows:      cfg.MergeBufRows,
-			DisableSemiJoin:   cfg.DisableSemiJoin,
-			SemiJoinKeyLimit:  cfg.SemiJoinKeyLimit,
-			SemiJoinBloomBits: cfg.SemiJoinBloomBits,
-			GossipFanout:      cfg.GossipFanout,
+			Clock:        fed.Clock.Now,
+			MDCacheTTL:   query.Millis(cfg.MDCacheTTL),
+			Options:      cfg.Options,
+			GossipFanout: cfg.GossipFanout,
 			// Each agent shuffles its peer ring from its own stream, derived
 			// from the run seed so replaying a seed replays every walk.
-			GossipSeed:         cfg.Seed*1009 + int64(i) + 1,
-			GossipSuspectAfter: cfg.GossipSuspectAfter,
-			SubCoalitionSize:   cfg.SubCoalitionSize,
+			GossipSeed: cfg.Seed*1009 + int64(i) + 1,
 		}
+		nc.FanOut = 1
 		if cfg.Hetero {
 			nc.Engine = heteroEngines[i%len(heteroEngines)]
 			if i == 1 {
@@ -221,8 +191,6 @@ func Build(cfg Config) (*Fed, error) {
 			fed.Close()
 			return nil, err
 		}
-		node.Processor.SetFanOut(1) // serial fan-out: deterministic event order
-		node.Processor.SetMemberPolicy(1, 0)
 		fed.Nodes = append(fed.Nodes, &Node{
 			Idx:     i,
 			Name:    name,

@@ -178,7 +178,21 @@ func (j *SemiJoin) String() string {
 		}
 		out = fmt.Sprintf("%s(%s, (%s))", j.Function, j.ArgCol, strings.Join(preds, " AND "))
 	}
-	return out + " On Coalition " + j.Source
+	return out + " On Coalition " + sourceText(j.Source)
+}
+
+// sourceText renders a source or coalition name so it reparses as the same
+// name: bare when it is single-space-separated words, quoted otherwise (a
+// quoted name, such as ' ', may hold any text).
+func sourceText(name string) string {
+	plain := name != "" && name[0] != ' ' && name[len(name)-1] != ' ' && !strings.Contains(name, "  ")
+	for i := 0; plain && i < len(name); i++ {
+		plain = name[i] == ' ' || isWordChar(name[i])
+	}
+	if plain {
+		return name
+	}
+	return "'" + strings.ReplaceAll(name, "'", "''") + "'"
 }
 
 // FuncQuery is the paper's typed data access: an exported-function
@@ -219,9 +233,9 @@ func (s *FuncQuery) String() string {
 	}
 	if s.Source != "" {
 		if s.OnCoalition {
-			out += " On Coalition " + s.Source
+			out += " On Coalition " + sourceText(s.Source)
 		} else {
-			out += " On " + s.Source
+			out += " On " + sourceText(s.Source)
 		}
 	}
 	if s.Join != nil {
