@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGIOPFragment -fuzztime=5s ./internal/giop
 	$(GO) test -run='^$$' -fuzz=FuzzWTLParse -fuzztime=5s ./internal/wtl
 	$(GO) test -run='^$$' -fuzz=FuzzSQLParse -fuzztime=5s ./internal/relational
+	$(GO) test -run='^$$' -fuzz=FuzzOQLQuery -fuzztime=5s ./internal/oodb
 	$(GO) test -run='^$$' -fuzz=FuzzGossipDelta -fuzztime=5s ./internal/gossip
 
 # fmt-check fails if any file needs gofmt (CI's formatting gate).

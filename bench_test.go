@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +250,67 @@ func BenchmarkOODBExtentFilter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := oodb.Query(db, "SELECT n FROM C WHERE n >= 4990"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSQLRangeScan measures a PRIMARY KEY range over a 20,000-row
+// table: a 20-row range takes the index range path, a range admitting 99%
+// of the rows stays a sequential scan.
+func BenchmarkSQLRangeScan(b *testing.B) {
+	db := relational.NewDatabase("bench", relational.DialectOracle)
+	var script strings.Builder
+	script.WriteString("CREATE TABLE obs (id INT PRIMARY KEY, grp INT, val INT);\n")
+	for r := 0; r < 20000; r += 500 {
+		script.WriteString("INSERT INTO obs VALUES ")
+		for k := r; k < r+500; k++ {
+			if k > r {
+				script.WriteByte(',')
+			}
+			fmt.Fprintf(&script, "(%d,%d,%d)", k, k%97, k*7%1000)
+		}
+		script.WriteString(";\n")
+	}
+	if _, err := db.ExecScript(script.String()); err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct{ name, q string }{
+		{"rows20", "SELECT id, val FROM obs WHERE obs.id >= 9000 AND obs.id < 9020"},
+		{"pct99", "SELECT id, val FROM obs WHERE obs.id >= 200 AND obs.id < 20000"},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(arm.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOQLRange measures a 20-object attribute range over a 20,000-object
+// extent, answered from the ordered attribute index the first query builds.
+func BenchmarkOQLRange(b *testing.B) {
+	db := oodb.NewDB("bench")
+	if _, err := db.DefineClass("obs", "", oodb.Attribute{Name: "id", Type: oodb.AttrInt},
+		oodb.Attribute{Name: "val", Type: oodb.AttrInt}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		if _, err := db.NewObject("obs", map[string]any{"id": i, "val": i * 7 % 1000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const q = "SELECT id, val FROM obs WHERE id >= 9000 AND id < 9020"
+	if _, _, err := oodb.Query(db, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := oodb.Query(db, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -169,13 +169,28 @@ func (c *relConn) Close() error {
 
 // fromRelational converts an engine result to the gateway's wire result.
 func fromRelational(r *relational.Result) *Result {
-	out := &Result{Columns: r.Columns, RowsAffected: r.RowsAffected}
-	for _, row := range r.Rows {
-		vals := make([]idl.Any, len(row))
+	return &Result{Columns: r.Columns, RowsAffected: r.RowsAffected, Rows: convertRows(r.Rows, relValueToAny)}
+}
+
+// convertRows converts an engine result's rows to wire values. All cells
+// share one backing array: one allocation per result, not one per row.
+func convertRows[R ~[]V, V any](rows []R, conv func(V) idl.Any) [][]idl.Any {
+	if len(rows) == 0 {
+		return nil
+	}
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	cells := make([]idl.Any, n)
+	out := make([][]idl.Any, len(rows))
+	for k, row := range rows {
+		vals := cells[:len(row):len(row)]
+		cells = cells[len(row):]
 		for i, v := range row {
-			vals[i] = relValueToAny(v)
+			vals[i] = conv(v)
 		}
-		out.Rows = append(out.Rows, vals)
+		out[k] = vals
 	}
 	return out
 }
@@ -250,15 +265,7 @@ func (c *ooConn) Query(_ context.Context, q string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Columns: cols}
-	for _, row := range rows {
-		vals := make([]idl.Any, len(row))
-		for i, v := range row {
-			vals[i] = ooValueToAny(v)
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return out, nil
+	return &Result{Columns: cols, Rows: convertRows(rows, ooValueToAny)}, nil
 }
 
 // QueryCursor implements Conn by materializing and iterating (in-process

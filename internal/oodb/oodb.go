@@ -220,6 +220,10 @@ type DB struct {
 	classes map[string]*Class // by lower-cased name
 	objects map[int64]*Object
 	extents map[string][]int64 // class (lower) -> member object IDs, insertion order
+	// indexes holds the ordered attribute indexes OQL queries have asked
+	// for: class (lower) -> attribute (lower) -> index over the class's
+	// deep extent. Writes maintain them; nothing drops them.
+	indexes map[string]map[string]*attrIndex
 	nextID  int64
 }
 
@@ -230,6 +234,7 @@ func NewDB(name string) *DB {
 		classes: make(map[string]*Class),
 		objects: make(map[int64]*Object),
 		extents: make(map[string][]int64),
+		indexes: make(map[string]map[string]*attrIndex),
 	}
 }
 
@@ -362,6 +367,12 @@ func checkValue(a Attribute, v any) (any, error) {
 func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.newObject(className, attrs, 0)
+}
+
+// newObject creates an object under the given ID, or the next free one when
+// id is 0. The caller holds the write lock.
+func (db *DB) newObject(className string, attrs map[string]any, id int64) (*Object, error) {
 	c, ok := db.classes[strings.ToLower(className)]
 	if !ok {
 		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, className)
@@ -378,14 +389,21 @@ func (db *DB) NewObject(className string, attrs map[string]any) (*Object, error)
 		}
 		o.attrs[strings.ToLower(name)] = val
 	}
-	db.nextID++
-	o.id = db.nextID
+	if id == 0 {
+		id = db.nextID + 1
+	}
+	if _, dup := db.objects[id]; dup {
+		return nil, fmt.Errorf("oodb: %s: object %d already exists", db.name, id)
+	}
+	o.id = id
+	db.nextID = max(db.nextID, id)
 	db.objects[o.id] = o
 	// The object belongs to the extent of its class and all ancestors.
 	for cl := c; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
 		db.extents[key] = append(db.extents[key], o.id)
 	}
+	db.indexObject(o)
 	return o, nil
 }
 
@@ -397,7 +415,11 @@ func (db *DB) Get(id int64) (*Object, bool) {
 	return o, ok
 }
 
-// Set updates one attribute of an object.
+// Set updates one attribute of an object, and every index over it, under
+// the write lock. Queries and Select predicates read attributes under the
+// read lock, so they never see a half-applied Set; the Object getters (Get,
+// String, Int, ...) called on an object after a query has returned take no
+// lock and are not synchronised with Set.
 func (db *DB) Set(id int64, name string, v any) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -413,7 +435,17 @@ func (db *DB) Set(id int64, name string, v any) error {
 	if err != nil {
 		return err
 	}
-	o.attrs[strings.ToLower(name)] = val
+	lname := strings.ToLower(name)
+	old, had := o.attrs[lname]
+	for cl := o.class; cl != nil; cl = cl.super {
+		if ix := db.indexes[strings.ToLower(cl.name)][lname]; ix != nil {
+			if had {
+				ix.remove(old, id)
+			}
+			ix.add(val, id, true)
+		}
+	}
+	o.attrs[lname] = val
 	return nil
 }
 
@@ -426,6 +458,7 @@ func (db *DB) Delete(id int64) error {
 		return fmt.Errorf("oodb: %s: no object %d", db.name, id)
 	}
 	delete(db.objects, id)
+	db.unindexObject(o)
 	for cl := o.class; cl != nil; cl = cl.super {
 		key := strings.ToLower(cl.name)
 		ext := db.extents[key]
@@ -443,13 +476,13 @@ func (db *DB) Delete(id int64) error {
 // (class extents are maintained transitively, so deep is the natural form;
 // shallow filters to exact class membership).
 func (db *DB) Extent(className string, deep bool) ([]*Object, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c, ok := db.classes[strings.ToLower(className)]
-	if !ok {
-		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, className)
-	}
-	ids := db.extents[strings.ToLower(className)]
+	return db.Select(className, deep, nil)
+}
+
+// extent returns a class's instances in extent order. The caller holds the
+// read lock.
+func (db *DB) extent(c *Class, deep bool) []*Object {
+	ids := db.extents[strings.ToLower(c.name)]
 	out := make([]*Object, 0, len(ids))
 	for _, id := range ids {
 		o := db.objects[id]
@@ -461,18 +494,26 @@ func (db *DB) Extent(className string, deep bool) ([]*Object, error) {
 		}
 		out = append(out, o)
 	}
-	return out, nil
+	return out
 }
 
-// Select returns instances of a class satisfying a predicate.
+// Select returns instances of a class satisfying a predicate. The predicate
+// runs under the database's read lock, so it sees no concurrent Set; it
+// must not call the database's write methods.
 func (db *DB) Select(className string, deep bool, pred func(*Object) bool) ([]*Object, error) {
-	objs, err := db.Extent(className, deep)
-	if err != nil {
-		return nil, err
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	c, ok := db.classes[strings.ToLower(className)]
+	if !ok {
+		return nil, fmt.Errorf("oodb: %s: no class %s", db.name, className)
+	}
+	objs := db.extent(c, deep)
+	if pred == nil {
+		return objs, nil
 	}
 	out := objs[:0:0]
 	for _, o := range objs {
-		if pred == nil || pred(o) {
+		if pred(o) {
 			out = append(out, o)
 		}
 	}
@@ -595,32 +636,18 @@ func Load(data []byte) (*DB, error) {
 			}
 			attrs[k] = normaliseJSON(v)
 		}
-		o, err := db.NewObject(so.Class, attrs)
+		if so.ID <= 0 {
+			return nil, fmt.Errorf("oodb: load: object of class %s has invalid id %d", so.Class, so.ID)
+		}
+		// Original IDs are kept, so Ref attributes stay valid.
+		db.mu.Lock()
+		_, err := db.newObject(so.Class, attrs, so.ID)
+		db.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		// Preserve original IDs so Ref attributes stay valid.
-		db.mu.Lock()
-		delete(db.objects, o.id)
-		remapExtents(db, o.id, so.ID)
-		o.id = so.ID
-		db.objects[so.ID] = o
-		if so.ID > db.nextID {
-			db.nextID = so.ID
-		}
-		db.mu.Unlock()
 	}
 	return db, nil
-}
-
-func remapExtents(db *DB, from, to int64) {
-	for k, ext := range db.extents {
-		for i, id := range ext {
-			if id == from {
-				db.extents[k][i] = to
-			}
-		}
-	}
 }
 
 // normaliseJSON converts JSON decode artifacts (float64 numbers, []any

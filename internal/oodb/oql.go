@@ -45,26 +45,37 @@ func Query(db *DB, q string) ([]string, [][]any, error) {
 		}
 	}
 
-	objs, err := db.Extent(sel.class, sel.deep)
-	if err != nil {
-		return nil, nil, err
+	spans := boundedSpans(sel.conds)
+	db.ensureIndexes(class, spans)
+
+	// Conditions and projection read attribute maps, which Set writes under
+	// the write lock: both run under one read lock.
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	objs, indexed := db.indexCandidates(class, sel.deep, spans)
+	if !indexed {
+		objs = db.extent(class, sel.deep)
 	}
 	objs = filterExtent(objs, sel.conds)
-	// Stable output: sort by object ID.
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ID() < objs[j].ID() })
+	// Stable output: sort by object ID (index candidates already are).
+	if !indexed {
+		sort.Slice(objs, func(i, j int) bool { return objs[i].ID() < objs[j].ID() })
+	}
 
-	// Attribute keys are lowered once for the whole result, not per row.
+	// Attribute keys are lowered once for the whole result, not per row,
+	// and every row's cells share one backing array.
 	lcols := make([]string, len(cols))
 	for i, c := range cols {
 		lcols[i] = strings.ToLower(c)
 	}
-	rows := make([][]any, 0, len(objs))
-	for _, o := range objs {
-		row := make([]any, len(cols))
+	rows := make([][]any, len(objs))
+	cells := make([]any, len(objs)*len(cols))
+	for r, o := range objs {
+		row := cells[r*len(cols) : (r+1)*len(cols) : (r+1)*len(cols)]
 		for i, lc := range lcols {
 			row[i] = o.attrs[lc]
 		}
-		rows = append(rows, row)
+		rows[r] = row
 	}
 	return cols, rows, nil
 }

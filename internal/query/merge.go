@@ -301,7 +301,7 @@ func (s *Session) runMember(ctx context.Context, ms *mergeStream, i int) {
 		if ex.InPushed {
 			ms.sjFallbacks.Add(1)
 		}
-		ex = &mp.Bare
+		ex = mp.bare()
 		it, err = conn.QueryCursor(mctx, ex.Native, ms.opts.MergeBufRows)
 	}
 	if err != nil {

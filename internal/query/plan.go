@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -39,13 +40,13 @@ type fragmentExec struct {
 }
 
 // memberPlan is one member's slice of a coalition plan: the capability-gated
-// execution, and the bare full-compensation fallback used when the engine
-// rejects a pushed clause its descriptor claimed it could evaluate.
+// execution. The bare full-compensation fallback, used when the engine
+// rejects a pushed clause its descriptor claimed it could evaluate, is
+// rendered on demand (bare).
 type memberPlan struct {
 	D    *codb.SourceDescriptor
 	Fn   *codb.ExportedFunction
 	Exec fragmentExec
-	Bare fragmentExec
 	// InListOK records, at plan time, whether the member's advertised engine
 	// accepts a literal IN list — the gate for shipping a semi-join key set
 	// into this member's fragment. Key sets are runtime data (they come from
@@ -203,12 +204,20 @@ func buildMemberPlan(d *codb.SourceDescriptor, fn *codb.ExportedFunction, q *wtl
 	}
 	mp := memberPlan{D: d, Fn: fn, InListOK: caps.InList}
 	mp.Exec = buildFragmentExec(d, fn, conds, q.Limit, caps)
-	if mp.Exec.Pushed == 0 && !mp.Exec.LimitPushed {
-		mp.Bare = mp.Exec
-	} else {
-		mp.Bare = buildFragmentExec(d, fn, conds, 0, gateway.Capabilities{})
-	}
 	return mp, nil
+}
+
+// bare renders the full-compensation fallback: nothing pushed, every
+// conjunct residual (the pushed ones first), no LIMIT. It is needed only
+// after a member rejects a pushed clause, so cached plans do not hold it;
+// with nothing pushed it is Exec.
+func (mp *memberPlan) bare() *fragmentExec {
+	if mp.Exec.Pushed == 0 && !mp.Exec.LimitPushed {
+		return &mp.Exec
+	}
+	conds := append(slices.Clip(mp.Exec.Frag.Conds), mp.Exec.Residual...)
+	ex := buildFragmentExec(mp.D, mp.Fn, conds, 0, gateway.Capabilities{})
+	return &ex
 }
 
 // exportedFunction finds a function in a descriptor's exported interface.

@@ -89,11 +89,11 @@ func TestBuildFragmentExecPerEngine(t *testing.T) {
 	}
 	// The bare fallback pushes nothing and widens the projection for both
 	// residual conjuncts.
-	if mp.Bare.Pushed != 0 || mp.Bare.LimitPushed || len(mp.Bare.Residual) != 2 || mp.Bare.NCols != 2 {
-		t.Fatalf("Oracle bare = %+v", mp.Bare)
+	if bare := mp.bare(); bare.Pushed != 0 || bare.LimitPushed || len(bare.Residual) != 2 || bare.NCols != 2 {
+		t.Fatalf("Oracle bare = %+v", bare)
 	}
-	if want := "SELECT a.v, a.K FROM r a"; mp.Bare.Native != want {
-		t.Errorf("bare fragment = %q, want %q", mp.Bare.Native, want)
+	if want := "SELECT a.v, a.K FROM r a"; mp.bare().Native != want {
+		t.Errorf("bare fragment = %q, want %q", mp.bare().Native, want)
 	}
 
 	// mSQL: no LIKE, so that conjunct is residual — and the residual blocks
@@ -126,7 +126,7 @@ func TestBuildFragmentExecPerEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp.Exec.Pushed != 0 || mp.Exec.LimitPushed || mp.Exec.Native != mp.Bare.Native {
+	if mp.Exec.Pushed != 0 || mp.Exec.LimitPushed || mp.bare() != &mp.Exec {
 		t.Fatalf("pushdown-off exec = %+v", mp.Exec)
 	}
 }

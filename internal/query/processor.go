@@ -1068,7 +1068,7 @@ func (s *Session) execFuncQuery(ctx context.Context, q *wtl.FuncQuery) (*Respons
 	if err != nil && (ex.Pushed > 0 || ex.LimitPushed) && isCapabilityRejection(err) {
 		s.tracef("data", "source %s rejected pushed fragment (%v); retrying with full compensation", d.Name, err)
 		s.p.stats.fallbacks.Add(1)
-		ex = &mp.Bare
+		ex = mp.bare()
 		res, err = conn.Query(ctx, ex.Native)
 	}
 	if err != nil {

@@ -214,24 +214,73 @@ func (t *btree) ascend(n *btreeNode, fn func(btreeItem) bool) bool {
 	return true
 }
 
-// Range visits live items with lo <= key <= hi (nil bounds are open); the
-// inclusive flags control boundary handling. fn returns false to stop.
+// Range visits live items with lo <= key <= hi (nil bounds are open) in key
+// order; the inclusive flags control boundary handling. It seeks to lo in
+// O(log n) instead of walking from the smallest key. fn returns false to
+// stop.
 func (t *btree) Range(lo, hi *Value, loIncl, hiIncl bool, fn func(key Value, rows []int64) bool) {
-	t.Ascend(func(key Value, rows []int64) bool {
-		if lo != nil {
-			c := Compare(key, *lo)
-			if c < 0 || (c == 0 && !loIncl) {
-				return true
+	t.rangeNode(t.root, lo, hi, loIncl, hiIncl, fn)
+}
+
+// rangeNode walks one subtree for Range. lo is non-nil only on the seek
+// path: once the walk is past lo, every later subtree lies above it.
+func (t *btree) rangeNode(n *btreeNode, lo, hi *Value, loIncl, hiIncl bool, fn func(Value, []int64) bool) bool {
+	start, atLo := 0, false
+	if lo != nil {
+		start, atLo = search(n.items, *lo)
+	}
+	for i := start; i < len(n.items); i++ {
+		// children[start] holds keys between items[start-1] and
+		// items[start]; when items[start] == lo they all lie below lo.
+		if !n.leaf() && !(i == start && atLo) {
+			sub := lo
+			if i > start {
+				sub = nil
 			}
-		}
-		if hi != nil {
-			c := Compare(key, *hi)
-			if c > 0 || (c == 0 && !hiIncl) {
+			if !t.rangeNode(n.children[i], sub, hi, loIncl, hiIncl, fn) {
 				return false
 			}
 		}
-		return fn(key, rows)
+		it := n.items[i]
+		if i == start && atLo && !loIncl {
+			continue
+		}
+		if hi != nil {
+			if c := Compare(it.key, *hi); c > 0 || (c == 0 && !hiIncl) {
+				return false
+			}
+		}
+		if len(it.rows) > 0 && !fn(it.key, it.rows) {
+			return false
+		}
+	}
+	if !n.leaf() {
+		sub := lo
+		if start < len(n.items) {
+			sub = nil
+		}
+		return t.rangeNode(n.children[len(n.items)], sub, hi, loIncl, hiIncl, fn)
+	}
+	return true
+}
+
+// bounds returns the smallest live non-NULL key and the largest key the
+// tree holds (possibly a tombstone, which only widens the span); ok is false
+// when no non-NULL key is live.
+func (t *btree) bounds() (first, last Value, ok bool) {
+	null := NullValue()
+	t.Range(&null, nil, false, false, func(k Value, _ []int64) bool {
+		first, ok = k, true
+		return false
 	})
+	n := t.root
+	for !n.leaf() {
+		n = n.children[len(n.children)-1]
+	}
+	if len(n.items) > 0 {
+		last = n.items[len(n.items)-1].key
+	}
+	return first, last, ok
 }
 
 // Len reports the number of live row entries in the tree.

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -272,6 +273,100 @@ func TestLikeMatcher(t *testing.T) {
 	for _, c := range cases {
 		if got := matchLike(c.s, c.p); got != c.want {
 			t.Errorf("LIKE(%q, %q) = %t, want %t", c.s, c.p, got, c.want)
+		}
+	}
+}
+
+// TestBTreeRangeMatchesBruteForce is a property test of the seeking Range:
+// over trees with duplicate keys, NULL keys and tombstones, every random
+// [lo, hi] with random inclusivity and open ends visits exactly the live
+// keys a brute-force filter of the sorted key set selects, in order.
+func TestBTreeRangeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		bt := newBTree()
+		ref := make(map[int64]int) // live key -> row count; key -1 stands for NULL
+		keyOf := func(k int64) Value {
+			if k < 0 {
+				return NullValue()
+			}
+			return IntValue(k)
+		}
+		span := int64(20 + rng.Intn(400))
+		n := 1 + rng.Intn(600)
+		rowKeys := make(map[int64]int64)
+		for id := int64(1); id <= int64(n); id++ {
+			k := rng.Int63n(span) - 1
+			bt.Insert(keyOf(k), id)
+			rowKeys[id] = k
+			ref[k]++
+		}
+		for id, k := range rowKeys { // tombstone about a third of the rows
+			if rng.Intn(3) == 0 {
+				if !bt.Delete(keyOf(k), id) {
+					t.Fatalf("Delete(%d, %d) failed", k, id)
+				}
+				if ref[k]--; ref[k] == 0 {
+					delete(ref, k)
+				}
+			}
+		}
+		var live []int64
+		for k := range ref {
+			live = append(live, k)
+		}
+		sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+		for q := 0; q < 50; q++ {
+			var lo, hi *Value
+			loK, hiK := rng.Int63n(span+4)-3, rng.Int63n(span+4)-3
+			if rng.Intn(5) > 0 {
+				v := keyOf(loK)
+				lo = &v
+			}
+			if rng.Intn(5) > 0 {
+				v := keyOf(hiK)
+				hi = &v
+			}
+			loIncl, hiIncl := rng.Intn(2) == 0, rng.Intn(2) == 0
+			var want []int64
+			for _, k := range live {
+				c := Compare(keyOf(k), keyOf(loK))
+				if lo != nil && (c < 0 || c == 0 && !loIncl) {
+					continue
+				}
+				c = Compare(keyOf(k), keyOf(hiK))
+				if hi != nil && (c > 0 || c == 0 && !hiIncl) {
+					continue
+				}
+				want = append(want, k)
+			}
+			var got []int64
+			bt.Range(lo, hi, loIncl, hiIncl, func(k Value, rows []int64) bool {
+				key := int64(-1)
+				if !k.Null {
+					key = k.Int
+				}
+				if len(rows) != ref[key] {
+					t.Fatalf("key %d: %d rows, want %d", key, len(rows), ref[key])
+				}
+				got = append(got, key)
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: Range(%v %v, %v %v) = %v, want %v",
+					trial, lo, loIncl, hi, hiIncl, got, want)
+			}
+			// Stopping early visits a prefix of the same walk.
+			if len(want) > 1 {
+				var first []int64
+				bt.Range(lo, hi, loIncl, hiIncl, func(k Value, _ []int64) bool {
+					first = append(first, k.Int)
+					return len(first) < 2
+				})
+				if len(first) != 2 {
+					t.Fatalf("early stop visited %d keys", len(first))
+				}
+			}
 		}
 	}
 }

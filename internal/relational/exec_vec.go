@@ -157,8 +157,8 @@ var emptyVec = make([]Value, 0)
 
 // scanOneVec scans one table with an optional pushed-down filter, producing
 // vectors for the referenced columns only. Row order matches the
-// interpreter: slot (insertion) order for full scans, ascending row ID for
-// the single-column-index equality path.
+// interpreter: slot (insertion) order for full and index range scans,
+// ascending row ID for the single-column-index equality path.
 func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) {
 	t := sp.t
 	bnd := strings.ToLower(sp.ref.Binding())
@@ -217,13 +217,21 @@ func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) 
 		return out, nil
 	}
 
+	// Index range path: the candidate slots, ascending, stand in for the
+	// live slots of a full scan, and the whole filter still runs over them.
+	var cand []int
+	_, ids, ranged := chooseRange(t, filter, env)
+	if ranged {
+		cand = liveSlots(t, ids)
+	}
+
 	var comp vexpr
 	if filter != nil {
 		comp = compileExpr(filter, out.cols)
 	}
 	for i := 0; i < nc; i++ {
 		if ref[i] {
-			out.vecs[i] = make([]Value, 0)
+			out.vecs[i] = make([]Value, 0, len(cand))
 		}
 	}
 	batch := &vbatch{vecs: t.cols}
@@ -232,12 +240,19 @@ func scanOneVec(c *vctx, sp scanSpec, filter Expr, ref []bool) (*vecRel, error) 
 	sel := c.getSel()
 	defer c.putSel(sel)
 	nrows := len(t.ids)
+	if ranged {
+		nrows = len(cand)
+	}
 	for base := 0; base < nrows; base += vecChunk {
 		end := min(base+vecChunk, nrows)
 		sel = sel[:0]
-		for r := base; r < end; r++ {
-			if t.live[r] {
-				sel = append(sel, r)
+		if ranged {
+			sel = append(sel, cand[base:end]...)
+		} else {
+			for r := base; r < end; r++ {
+				if t.live[r] {
+					sel = append(sel, r)
+				}
 			}
 		}
 		if len(sel) == 0 {

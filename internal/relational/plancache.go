@@ -65,9 +65,10 @@ func (c *planCache) get(key string, v uint64) ([]Statement, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
+	stmts := e.stmts // put rewrites an existing entry under the lock
 	c.mu.Unlock()
 	c.hits.Add(1)
-	return e.stmts, true
+	return stmts, true
 }
 
 // put stores statements parsed at schema version v, evicting the least

@@ -452,6 +452,8 @@ func (db *Database) explainSelect(s *SelectStmt) (*Result, error) {
 					if ix := sp.t.singleColIndex(col); ix != nil {
 						access = fmt.Sprintf("index lookup %s(%s)", ix.Name, sp.t.schema.Columns[col].Name)
 					}
+				} else if r, _, ok := chooseRange(sp.t, filter, env); ok {
+					access = fmt.Sprintf("index range %s(%s)", r.ix.Name, sp.t.schema.Columns[r.col].Name)
 				}
 			}
 			line := fmt.Sprintf("%s %s", access, sp.t.schema.Name)
